@@ -10,7 +10,6 @@ classifier.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -21,8 +20,6 @@ from .embed import EmbeddingModel, TrainConfig, checkpoint_path, train
 from .errors import DataError
 from .kg import KnowledgeGraph
 from .rules import RuleScorer, mine_rules
-
-log = logging.getLogger(__name__)
 
 KNN_K_GRID = (3, 5, 7, 9, 11, 13, 15)
 KNN_WEIGHTS = ("uniform", "distance")

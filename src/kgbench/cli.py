@@ -130,7 +130,6 @@ def build_parser() -> _Parser:
     p.add_argument("--margin", type=float, default=1.0)
     p.add_argument("--reg", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--export-features", help="also write entity feature CSV to this path")
     p.add_argument("--out", required=True, help="checkpoint output directory")
 
@@ -141,7 +140,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-body", type=int, default=3)
     p.add_argument("--min-coverage", type=int, default=5)
     p.add_argument("--min-confidence", type=float, default=0.0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="rules output file")
 
     for name, help_text in (
@@ -159,8 +157,6 @@ def build_parser() -> _Parser:
         p.add_argument("--hits", default="1,3,10", help="comma-separated K values")
         p.add_argument("--per-query", action="store_true", help="include per-query ranks")
         p.add_argument("--score-known-train", action="store_true", help="rule scorer: train triples score 1.0")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", required=True, help="report JSON path")
 
     p = sub_parser("analyze", "graph property profile of the dataset")
@@ -259,7 +255,6 @@ def _cmd_train(args) -> int:
         margin=args.margin,
         regularization=args.reg,
         seed=args.seed,
-        threads=args.threads,
     )
     out = Path(args.out)
     result = train(kg, cfg, checkpoint_dir=out)
@@ -306,7 +301,6 @@ def _cmd_mine_rules(args) -> int:
             max_body_len=args.max_body,
             min_coverage=args.min_coverage,
             min_confidence=args.min_confidence,
-            threads=args.threads,
         )
     else:
         target = kg.relations.id(args.target)
@@ -373,9 +367,7 @@ def _cmd_eval_kbc(args) -> int:
         raise DataError(f"scorer file not found: {scorer_path}")
     scorer, scorer_kind = _sniff_scorer(scorer_path, kg, args.score_known_train)
     hits_at = tuple(int(s) for s in str(args.hits).split(",") if s.strip())
-    result = evaluate(
-        scorer, kg, split=args.split, rank_mode=args.rank, hits_at=hits_at, threads=args.threads
-    )
+    result = evaluate(scorer, kg, split=args.split, rank_mode=args.rank, hits_at=hits_at)
     payload = result.to_dict(per_query=args.per_query)
     payload["metadata"] = {
         "scorer": str(scorer_path),
@@ -383,7 +375,6 @@ def _cmd_eval_kbc(args) -> int:
         "scorer_sha256": _sha256(scorer_path),
         "rank_mode": args.rank,
         "split": args.split,
-        "seed": args.seed,
         "candidate_set_size": kg.n_entities,
     }
     out = Path(args.out)
@@ -392,7 +383,7 @@ def _cmd_eval_kbc(args) -> int:
     write_manifest(
         out.parent,
         args.command,
-        {"rank": args.rank, "split": args.split, "hits": args.hits, "seed": args.seed},
+        {"rank": args.rank, "split": args.split, "hits": args.hits},
         [scorer_path, kg_dir / f"{args.split}.idx"],
     )
     hits_str = " ".join(f"hits@{k}={result.hits[k]:.4f}" for k in hits_at)

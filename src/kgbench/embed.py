@@ -41,7 +41,6 @@ class TrainConfig:
     margin: float = 1.0  # TransE only
     regularization: float = 1e-4  # DistMult/ComplEx only
     seed: int = 0
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.model not in MODEL_KINDS:
@@ -490,10 +489,6 @@ def train(
     stats = SamplerStats()
     arr = np.asarray(triples, dtype=np.int64)
 
-    if cfg.threads > 1:
-        _train_epochs_hogwild(kg, cfg, model, arr, rng, stats, result, checkpoint_dir)
-        return result
-
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(arr))
         epoch_loss = 0.0
@@ -548,50 +543,6 @@ def _apply_sgd(model: EmbeddingModel, grads: dict[str, np.ndarray], lr: float) -
     if model.kind == "complex":
         model.entity_im -= lr * grads["entity_im"]
         model.relation_im -= lr * grads["relation_im"]
-
-
-def _train_epochs_hogwild(
-    kg: KnowledgeGraph,
-    cfg: TrainConfig,
-    model: EmbeddingModel,
-    arr: np.ndarray,
-    rng: np.random.Generator,
-    stats: SamplerStats,
-    result: TrainResult,
-    checkpoint_dir: Path | None,
-) -> None:
-    """Opt-in parallel mode: mini-batches sharded across threads with
-    unsynchronized parameter updates. Determinism is waived here."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    def step(batch: np.ndarray, seed: int) -> float:
-        local_rng = np.random.default_rng(seed)
-        negs = _sample_negative_block(kg, batch, cfg.negatives_per_positive, local_rng, stats)
-        loss, grads = batch_gradients(model, batch, negs, cfg)
-        _apply_sgd(model, grads, cfg.learning_rate)
-        return loss
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(len(arr))
-            batches = [
-                arr[order[s : s + cfg.batch_size]] for s in range(0, len(arr), cfg.batch_size)
-            ]
-            seeds = [int(rng.integers(0, 2**63)) for _ in batches]
-            losses = list(pool.map(step, batches, seeds))
-            if not all(np.isfinite(losses)):
-                bad = int(np.argmin(np.isfinite(losses)))
-                raise NumericError(f"non-finite loss at epoch {epoch}, batch {bad}")
-            if cfg.model == "transe":
-                _project_unit_ball(model.entity_re)
-            _check_finite_params(model, epoch)
-            model.epoch = epoch
-            result.epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
-            if checkpoint_dir is not None and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
-                path = checkpoint_path(checkpoint_dir, cfg, epoch)
-                model.save(path)
-                result.checkpoints.append(path)
-    result.forced_negative_accepts = stats.forced_accepts
 
 
 # -- feature export ------------------------------------------------------------------

@@ -111,11 +111,7 @@ class KnowledgeGraph:
                 log.warning("dropping duplicate triple %s/%s/%s in split %r", head, relation, tail, split)
                 return None
             raise DataError(f"duplicate triple across splits: {head}\t{relation}\t{tail}")
-        self.splits[split].append(t)
-        self.known_true.add(t)
-        self._split_of[t] = split
-        self._tails.setdefault((t.relation, t.head), set()).add(t.tail)
-        self._heads.setdefault((t.relation, t.tail), set()).add(t.head)
+        self._append_indexed(t, split)
         return t
 
     def mark_attribute(self, relation: str) -> None:
@@ -142,9 +138,6 @@ class KnowledgeGraph:
 
     def heads_of(self, relation: int, tail: int) -> set[int]:
         return self._heads.get((relation, tail), set())
-
-    def relation_pairs(self, relation: int, split: str = "train") -> list[tuple[int, int]]:
-        return [(t.head, t.tail) for t in self.triples(split) if t.relation == relation]
 
     def _append_indexed(self, t: Triple, split: str) -> None:
         self.splits[split].append(t)

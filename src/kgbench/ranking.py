@@ -266,30 +266,19 @@ def evaluate(
     split: str = "test",
     rank_mode: str = "expected",
     hits_at: Sequence[int] = DEFAULT_HITS,
-    threads: int = 1,
-    keep_queries: bool = True,
 ) -> RankResult:
     """Rank head-side and tail-side queries for every triple of `split`.
 
     hits@K is the fraction of queries whose chosen rank is <= K; MRR is the
-    mean reciprocal rank. Query order is the split order (tail side then
-    head side per triple), so results are independent of thread count.
+    mean reciprocal rank. Queries are ranked in split order, tail side then
+    head side per triple.
     """
     if rank_mode not in RANK_MODES:
         raise DataError(f"unknown rank mode: {rank_mode!r}")
     triples = kg.triples(split)
     if not triples:
         raise DataError(f"split {split!r} is empty")
-    jobs = [(t, side) for t in triples for side in ("tail", "head")]
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            queries = list(pool.map(lambda j: rank_query(scorer, kg, j[0], j[1]), jobs))
-    else:
-        queries = [rank_query(scorer, kg, t, side) for t, side in jobs]
-
+    queries = [rank_query(scorer, kg, t, side) for t in triples for side in ("tail", "head")]
     chosen = [q.rank(rank_mode) for q in queries]
     hits, mrr = _aggregate(chosen, hits_at)
     per_rel: dict[int, RelationBreakdown] = {}
@@ -305,5 +294,5 @@ def evaluate(
         mrr=mrr,
         n_queries=len(queries),
         per_relation=per_rel,
-        queries=queries if keep_queries else [],
+        queries=queries,
     )

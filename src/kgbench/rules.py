@@ -13,7 +13,6 @@ on output.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -22,8 +21,6 @@ import numpy as np
 
 from .errors import DataError
 from .kg import KnowledgeGraph, Triple
-
-log = logging.getLogger(__name__)
 
 INV_PREFIX = "inv_"
 COVERAGE_TERMINAL_BIN = 400
@@ -251,25 +248,11 @@ def mine_all(
     max_body_len: int = 3,
     min_coverage: int = 1,
     min_confidence: float = 0.0,
-    threads: int = 1,
 ) -> dict[int, RuleTheory]:
-    """Mine one theory per target relation; parallelizes over targets."""
+    """Mine one theory per target relation, in target order."""
     if targets is None:
         targets = range(kg.n_relations)
-    targets = list(targets)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            theories = list(
-                pool.map(
-                    lambda t: mine_rules(kg, t, max_body_len, min_coverage, min_confidence),
-                    targets,
-                )
-            )
-    else:
-        theories = [mine_rules(kg, t, max_body_len, min_coverage, min_confidence) for t in targets]
-    return {t: th for t, th in zip(targets, theories)}
+    return {t: mine_rules(kg, t, max_body_len, min_coverage, min_confidence) for t in targets}
 
 
 # -- rule application --------------------------------------------------------------

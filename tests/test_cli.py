@@ -55,6 +55,62 @@ class TestExitCodes:
         assert main(["ingest", "--train", str(bad), "--out", str(tmp_path / "kg")]) == 2
 
 
+@pytest.fixture(scope="module")
+def small_kg(tmp_path_factory):
+    """A graph of four train triples and one test triple, with a rule file mined from it."""
+    root = tmp_path_factory.mktemp("small")
+    (root / "train.tsv").write_text("a\tr1\tb\na\tr2\tb\nc\tr1\td\ne\tr1\tf\n", encoding="utf-8")
+    (root / "test.tsv").write_text("c\tr2\td\n", encoding="utf-8")
+    kg_dir = root / "kg"
+    assert main(["ingest", "--train", str(root / "train.tsv"), "--test", str(root / "test.tsv"),
+                 "--out", str(kg_dir)]) == 0
+    rules = root / "rules.txt"
+    assert main(["mine-rules", "--kg", str(kg_dir), "--target", "r2", "--max-body", "1",
+                 "--min-coverage", "1", "--out", str(rules)]) == 0
+    return kg_dir, rules
+
+
+def _subcommand_argv(command: str, kg_dir: Path, rules: Path, out_dir: Path) -> list[str]:
+    """Minimal valid argv for `command`; every output lands in `out_dir`."""
+    if command == "train":
+        return ["train", "--kg", str(kg_dir), "--dim", "2", "--epochs", "1", "--checkpoint-every", "1",
+                "--out", str(out_dir)]
+    if command == "mine-rules":
+        return ["mine-rules", "--kg", str(kg_dir), "--target", "r2", "--max-body", "1",
+                "--out", str(out_dir / "rules.txt")]
+    scorer_flag = "--rules" if command == "apply-rules" else "--scorer"
+    return [command, "--kg", str(kg_dir), scorer_flag, str(rules), "--out", str(out_dir / "report.json")]
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("train", "--threads"),
+            ("mine-rules", "--threads"),
+            ("eval-kbc", "--threads"),
+            ("eval-kbc", "--seed"),
+            ("apply-rules", "--threads"),
+            ("apply-rules", "--seed"),
+        ],
+    )
+    def test_removed_flag_is_usage_error_but_config_key_is_ignored(self, small_kg, tmp_path, capsys, command, flag):
+        kg_dir, rules = small_kg
+        argv = _subcommand_argv(command, kg_dir, rules, tmp_path / "flag")
+        assert main(argv + [flag, "2"]) == 1
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=2\nseed=2\n", encoding="utf-8")
+        out_dir = tmp_path / "config"
+        assert main(_subcommand_argv(command, kg_dir, rules, out_dir) + ["--config", str(cfg)]) == 0
+        config = json.loads((out_dir / "manifest.json").read_text())["config"]
+        assert "threads" not in config
+        if command in ("eval-kbc", "apply-rules"):
+            assert "seed" not in config
+            assert "seed" not in json.loads((out_dir / "report.json").read_text())["metadata"]
+
+
 class TestPipeline:
     def test_full_pipeline_rule_scorer_perfect(self, dataset_dir, tmp_path):
         data_root, paths = dataset_dir

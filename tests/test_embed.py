@@ -214,14 +214,6 @@ class TestTraining:
         for a, b in zip(windows, windows[1:]):
             assert b <= a + 1e-12
 
-    def test_hogwild_mode_runs(self):
-        rng = np.random.default_rng(17)
-        kg = random_kg(rng, 20, 2, 60, "train")
-        cfg = TrainConfig(model="transe", dim=4, epochs=2, checkpoint_every=2, threads=3, batch_size=8)
-        result = train(kg, cfg)
-        assert np.isfinite(result.model.entity_re).all()
-        assert len(result.epoch_losses) == 2
-
 
 class TestGradients:
     @staticmethod

@@ -17,6 +17,7 @@ from kgbench.ranking import (
     expected_rank,
     optimistic_rank,
     pessimistic_rank,
+    rank_query,
 )
 from conftest import random_kg
 from oracles import oracle_ranks
@@ -230,16 +231,17 @@ class TestEvaluate:
         weighted = sum(b.hits[10] * b.n_queries for b in result.per_relation.values()) / total
         assert weighted == pytest.approx(result.hits[10])
 
-    def test_threads_match_single_thread(self):
+    def test_evaluate_matches_rank_query(self):
         rng = np.random.default_rng(14)
         kg = random_kg(rng, 15, 2, 30, "train")
         kg = random_kg(rng, 15, 2, 10, "test", kg)
         scorer = MembershipScorer(kg.known_true, kg.n_entities)
-        a = evaluate(scorer, kg, split="test", rank_mode="expected", threads=1)
-        b = evaluate(scorer, kg, split="test", rank_mode="expected", threads=4)
-        assert a.hits == b.hits
-        assert a.mrr == b.mrr
-        assert [q.expected for q in a.queries] == [q.expected for q in b.queries]
+        result = evaluate(scorer, kg, split="test", rank_mode="expected")
+        reference = [rank_query(scorer, kg, t, side) for t in kg.triples("test") for side in ("tail", "head")]
+        assert result.queries == reference
+        ranks = np.array([q.expected for q in reference])
+        assert result.hits == {k: float((ranks <= k).mean()) for k in (1, 3, 10)}
+        assert result.mrr == float((1.0 / ranks).mean())
 
     def test_function_scorer_adapter(self):
         kg = ingest_triples(["a\tr\tb", "c\tr\td"], "train")

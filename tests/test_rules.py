@@ -146,15 +146,18 @@ class TestMining:
             if a.confidence == b.confidence:
                 assert a.coverage >= b.coverage
 
-    def test_mine_all_parallel_matches_serial(self):
+    def test_mine_all_matches_per_target_mining(self):
         rng = np.random.default_rng(34)
         kg = random_kg(rng, 12, 3, 40, "train")
-        serial = mine_all(kg, max_body_len=2, threads=1)
-        parallel = mine_all(kg, max_body_len=2, threads=3)
-        for target in serial:
-            assert [str(r) for r in serial[target].rules] == [
-                str(r) for r in parallel[target].rules
-            ]
+        kg = random_kg(rng, 12, 3, 10, "test", kg)
+
+        def counts(theory):
+            return [(str(r), r.correct, r.total, r.train_correct) for r in theory.rules]
+
+        mined = mine_all(kg, max_body_len=2)
+        assert list(mined) == list(range(kg.n_relations))
+        for target, theory in mined.items():
+            assert counts(theory) == counts(mine_rules(kg, target, max_body_len=2))
 
 
 class TestRuleScorer:
