@@ -351,7 +351,13 @@ def _sniff_scorer(path: Path, kg, score_known_train: bool):
     with path.open("rb") as fh:
         magic = fh.read(4)
     if magic == CKPT_MAGIC:
-        return EmbeddingModel.load(path), "embedding"
+        model = EmbeddingModel.load(path)
+        if (model.n_entities, model.n_relations) != (kg.n_entities, kg.n_relations):
+            raise DataError(
+                f"{path}: checkpoint has {model.n_entities} entities and {model.n_relations} relations, "
+                f"the graph has {kg.n_entities} and {kg.n_relations}"
+            )
+        return model, "embedding"
     theories = load_theories(path, kg)
     return rule_scorer(theories, kg, score_known_train=score_known_train), "rules"
 

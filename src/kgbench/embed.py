@@ -138,8 +138,7 @@ class EmbeddingModel:
         """Scores of (head, relation, e) for every entity e."""
         self._check(Triple(head, relation, head))
         if self.kind == "transe":
-            delta = self.entity_re[head] + self.relation_re[relation] - self.entity_re
-            return -np.sqrt((delta * delta).sum(axis=1))
+            return self._transe_row(relation, head, "tail")
         if self.kind == "distmult":
             return (self.entity_re[head] * self.entity_re) @ self.relation_re[relation]
         hr, hi = self.entity_re[head], self.entity_im[head]
@@ -151,14 +150,54 @@ class EmbeddingModel:
         """Scores of (e, relation, tail) for every entity e."""
         self._check(Triple(tail, relation, tail))
         if self.kind == "transe":
-            delta = self.entity_re + self.relation_re[relation] - self.entity_re[tail]
-            return -np.sqrt((delta * delta).sum(axis=1))
+            return self._transe_row(relation, tail, "head")
         if self.kind == "distmult":
             return (self.entity_re * self.entity_re[tail]) @ self.relation_re[relation]
         tr_, ti_ = self.entity_re[tail], self.entity_im[tail]
         rr, ri = self.relation_re[relation], self.relation_im[relation]
         hr, hi = self.entity_re, self.entity_im
         return ((hr * tr_) @ rr + (hi * ti_) @ rr + (hr * ti_) @ ri - (hi * tr_) @ ri)
+
+    def _transe_row(self, relation: int, anchor: int, side: str) -> np.ndarray:
+        E, r = self.entity_re, self.relation_re[relation]
+        delta = (E[anchor] + r - E) if side == "tail" else (E + r - E[anchor])
+        return -np.sqrt((delta * delta).sum(axis=1))
+
+    def score_block(self, relations: np.ndarray, anchors: np.ndarray, side: str) -> np.ndarray:
+        """(B, N) scores: row i scores every entity substituted on `side`
+        of (anchors[i], relations[i]) -- the rows of score_tails (side
+        "tail", anchors are heads) or score_heads (side "head").
+
+        DistMult and ComplEx fold the anchor and relation vectors into one
+        (B, d) weight matrix and take one GEMM per real matrix, so a row
+        groups its terms differently from score() and agrees with it to
+        rounding (about 1e-15). TransE rows are bitwise those of
+        score_tails/score_heads.
+        """
+        if side not in ("head", "tail"):
+            raise DataError(f"unknown corruption side: {side!r}")
+        relations = np.asarray(relations, dtype=np.intp)
+        anchors = np.asarray(anchors, dtype=np.intp)
+        if anchors.size and (anchors.min() < 0 or anchors.max() >= self.n_entities):
+            raise DataError("entity index out of range in score block")
+        if relations.size and (relations.min() < 0 or relations.max() >= self.n_relations):
+            raise DataError("relation index out of range in score block")
+        if self.kind == "transe":
+            out = np.empty((len(anchors), self.n_entities))
+            for i, (r, a) in enumerate(zip(relations, anchors)):
+                out[i] = self._transe_row(r, a, side)
+            return out
+        if self.kind == "distmult":
+            return (self.entity_re[anchors] * self.relation_re[relations]) @ self.entity_re.T
+        ar, ai = self.entity_re[anchors], self.entity_im[anchors]
+        rr, ri = self.relation_re[relations], self.relation_im[relations]
+        if side == "tail":  # anchor is the head h; the candidate is the tail
+            w_re, w_im = ar * rr - ai * ri, ai * rr + ar * ri
+        else:  # anchor is the tail t; the candidate is the head
+            w_re, w_im = ar * rr + ai * ri, ai * rr - ar * ri
+        out = w_re @ self.entity_re.T
+        out += w_im @ self.entity_im.T
+        return out
 
     # -- features ----------------------------------------------------------
 

@@ -20,11 +20,22 @@ from .kg import KnowledgeGraph, Triple
 
 RANK_MODES = ("optimistic", "expected", "pessimistic")
 DEFAULT_HITS = (1, 3, 10)
+SIDES = ("tail", "head")  # the order in which each triple's queries are ranked
+# evaluate() ranks B = min(_BLOCK_ROWS, _BLOCK_BYTES / 8N) triples per block:
+# a float64 (B, N) score block stays within 4 MiB, and on small graphs a few
+# dozen rows already give the matrix product its full speed, so more rows
+# would only add memory
+_BLOCK_BYTES = 4 << 20
+_BLOCK_ROWS = 64
+_NO_ENTITIES = np.zeros(0, dtype=np.intp)
 
 
 class Scorer(Protocol):
     """Plausibility scoring: higher means more plausible. Implementations
-    must be deterministic given fixed parameters."""
+    must be deterministic given fixed parameters. A scorer may also define
+    score_block(relations, anchors, side) -> (B, N), the score_tails
+    (side "tail") or score_heads (side "head") rows of B queries at once;
+    evaluate uses it when present."""
 
     def score(self, relation: int, head: int, tail: int) -> float: ...
 
@@ -76,22 +87,25 @@ class MembershipScorer:
     def __init__(self, true_triples: Iterable[Triple], n_entities: int) -> None:
         self.true = set(true_triples)
         self.n_entities = n_entities
+        tails: dict[tuple[int, int], list[int]] = {}
+        heads: dict[tuple[int, int], list[int]] = {}
+        for t in self.true:
+            tails.setdefault((t.relation, t.head), []).append(t.tail)
+            heads.setdefault((t.relation, t.tail), []).append(t.head)
+        self._tails = {k: np.array(v, dtype=np.intp) for k, v in tails.items()}
+        self._heads = {k: np.array(v, dtype=np.intp) for k, v in heads.items()}
 
     def score(self, relation: int, head: int, tail: int) -> float:
         return 1.0 if Triple(head, relation, tail) in self.true else 0.0
 
     def score_tails(self, relation: int, head: int) -> np.ndarray:
         out = np.zeros(self.n_entities)
-        for t in self.true:
-            if t.relation == relation and t.head == head:
-                out[t.tail] = 1.0
+        out[self._tails.get((relation, head), _NO_ENTITIES)] = 1.0
         return out
 
     def score_heads(self, relation: int, tail: int) -> np.ndarray:
         out = np.zeros(self.n_entities)
-        for t in self.true:
-            if t.relation == relation and t.tail == tail:
-                out[t.head] = 1.0
+        out[self._heads.get((relation, tail), _NO_ENTITIES)] = 1.0
         return out
 
 
@@ -112,21 +126,26 @@ class CorruptionSet:
         return self.query.head if self.side == "head" else self.query.tail
 
 
+def _filter_row(mask: np.ndarray, kg: KnowledgeGraph, query: Triple, side: str) -> int:
+    """Set `mask` (length N) to the filtered candidates of `query` corrupted
+    on `side`; returns the true entity."""
+    if side == "tail":
+        known, true_e = kg.tails_of(query.relation, query.head), query.tail
+    else:
+        known, true_e = kg.heads_of(query.relation, query.tail), query.head
+    mask[:] = True
+    mask[np.fromiter(known, dtype=np.intp, count=len(known))] = False
+    mask[true_e] = True
+    return true_e
+
+
 def corruption_set(kg: KnowledgeGraph, query: Triple, side: str) -> CorruptionSet:
     """All entities substituted on `side`, minus candidates whose triple is
     known true, except the true triple itself, which is never filtered."""
-    if side not in ("head", "tail"):
+    if side not in SIDES:
         raise DataError(f"unknown corruption side: {side!r}")
-    if side == "tail":
-        known = kg.tails_of(query.relation, query.head)
-        true_e = query.tail
-    else:
-        known = kg.heads_of(query.relation, query.tail)
-        true_e = query.head
-    mask = np.ones(kg.n_entities, dtype=bool)
-    for e in known:
-        mask[e] = False
-    mask[true_e] = True
+    mask = np.empty(kg.n_entities, dtype=bool)
+    _filter_row(mask, kg, query, side)
     return CorruptionSet(query=query, side=side, candidates=np.flatnonzero(mask))
 
 
@@ -253,6 +272,53 @@ def rank_query(scorer: Scorer, kg: KnowledgeGraph, query: Triple, side: str) -> 
     )
 
 
+def _score_rows(scorer: Scorer, relations: np.ndarray, anchors: np.ndarray, side: str) -> np.ndarray:
+    """(B, N) scores of one block: `scorer.score_block` when the scorer has
+    one, else its per-query score_tails/score_heads rows."""
+    score_block = getattr(scorer, "score_block", None)
+    if score_block is not None:
+        return np.asarray(score_block(relations, anchors, side), dtype=np.float64)
+    one = scorer.score_tails if side == "tail" else scorer.score_heads
+    return np.stack([np.asarray(one(int(r), int(a)), dtype=np.float64) for r, a in zip(relations, anchors)])
+
+
+def _rank_block(scorer: Scorer, kg: KnowledgeGraph, block: Sequence[Triple]) -> list[QueryRank]:
+    """Ranks of both queries of every triple in `block`, in the order of
+    rank_query per triple and side, with the same exact comparisons."""
+    arr = np.array(block, dtype=np.intp).reshape(-1, 3)
+    rows = np.arange(len(block))
+    mask = np.empty((len(block), kg.n_entities), dtype=bool)
+    counts: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    bad: list[tuple[int, int, int]] = []  # (row, side index, entity) of the first non-finite score
+    for side_index, side in enumerate(SIDES):
+        anchors = arr[:, 0] if side == "tail" else arr[:, 2]
+        truths = np.array([_filter_row(mask[i], kg, t, side) for i, t in enumerate(block)], dtype=np.intp)
+        scores = _score_rows(scorer, arr[:, 1], anchors, side)
+        if scores.shape != mask.shape:
+            raise DataError(f"scorer returned {scores.shape[-1]} scores per query for {kg.n_entities} entities")
+        non_finite = mask & ~np.isfinite(scores)
+        if non_finite.any():
+            i = int(np.flatnonzero(non_finite.any(axis=1))[0])
+            bad.append((i, side_index, int(np.flatnonzero(non_finite[i])[0])))
+            continue
+        s_true = scores[rows, truths][:, None]
+        greater = np.count_nonzero((scores > s_true) & mask, axis=1)
+        ties = np.count_nonzero((scores == s_true) & mask, axis=1) - 1  # exclude the truth itself
+        counts[side] = (greater, ties, np.count_nonzero(mask, axis=1))
+    if bad:  # the first offending query in split order, tail side first
+        i, _, ent = min(bad)
+        raise NumericError(f"non-finite score for candidate entity {ent} in query {block[i]}")
+    out = []
+    for i, t in enumerate(block):
+        for side in SIDES:
+            greater, ties, n_cands = counts[side]
+            opt = 1.0 + int(greater[i])
+            pess = opt + int(ties[i])
+            out.append(QueryRank(query=t, side=side, optimistic=opt, pessimistic=pess,
+                                 expected=(opt + pess) / 2.0, n_candidates=int(n_cands[i])))
+    return out
+
+
 def _aggregate(ranks: Sequence[float], hits_at: Sequence[int]) -> tuple[dict[int, float], float]:
     arr = np.asarray(ranks, dtype=np.float64)
     hits = {k: float((arr <= k).mean()) for k in hits_at}
@@ -271,14 +337,19 @@ def evaluate(
 
     hits@K is the fraction of queries whose chosen rank is <= K; MRR is the
     mean reciprocal rank. Queries are ranked in split order, tail side then
-    head side per triple.
+    head side per triple, with the ranks rank_query gives. The triples are
+    scored in blocks of at most 64 rows, fewer when one float64 (B, N) score
+    matrix would exceed 4 MiB.
     """
     if rank_mode not in RANK_MODES:
         raise DataError(f"unknown rank mode: {rank_mode!r}")
     triples = kg.triples(split)
     if not triples:
         raise DataError(f"split {split!r} is empty")
-    queries = [rank_query(scorer, kg, t, side) for t in triples for side in ("tail", "head")]
+    size = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * kg.n_entities)))
+    queries: list[QueryRank] = []
+    for start in range(0, len(triples), size):
+        queries.extend(_rank_block(scorer, kg, triples[start : start + size]))
     chosen = [q.rank(rank_mode) for q in queries]
     hits, mrr = _aggregate(chosen, hits_at)
     per_rel: dict[int, RelationBreakdown] = {}

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from kgbench.cli import main
+from kgbench.embed import EmbeddingModel
+from kgbench.kg import load_kg
 from conftest import build_equivalence_kg
 
 
@@ -109,6 +111,20 @@ class TestRemovedOptions:
         if command in ("eval-kbc", "apply-rules"):
             assert "seed" not in config
             assert "seed" not in json.loads((out_dir / "report.json").read_text())["metadata"]
+
+
+class TestCheckpointShape:
+    @pytest.mark.parametrize("n_entities,extra_relations", [(50, 0), (2, 0), (6, 1)])
+    def test_checkpoint_of_another_shape_is_data_error(self, small_kg, tmp_path, capsys, n_entities, extra_relations):
+        kg_dir, _ = small_kg
+        kg = load_kg(kg_dir)
+        assert kg.n_entities == 6
+        ckpt = tmp_path / "model.kge"
+        EmbeddingModel.initialize("complex", n_entities, kg.n_relations + extra_relations, 4, seed=0).save(ckpt)
+        argv = ["eval-kbc", "--kg", str(kg_dir), "--scorer", str(ckpt), "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        assert "checkpoint has" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestPipeline:

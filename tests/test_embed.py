@@ -22,6 +22,7 @@ from kgbench.embed import (
 )
 from kgbench.errors import DataError, NumericError
 from kgbench.kg import KnowledgeGraph, Triple, ingest_triples
+from kgbench.ranking import evaluate, rank_query
 from conftest import build_equivalence_kg, random_kg
 
 
@@ -118,6 +119,50 @@ class TestScoring:
                 for e in range(9):
                     assert tails[e] == pytest.approx(m.score(rel, 2, e), rel=1e-12, abs=1e-12)
                     assert heads[e] == pytest.approx(m.score(rel, e, 4), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "complex"])
+    @pytest.mark.parametrize("side", ["tail", "head"])
+    def test_score_block_rows_match_per_query_scores(self, kind, side):
+        m = EmbeddingModel.initialize(kind, 40, 5, 7, seed=9)
+        rng = np.random.default_rng(10)
+        relations = rng.integers(0, 5, 12)
+        anchors = rng.integers(0, 40, 12)
+        block = m.score_block(relations, anchors, side)
+        assert block.shape == (12, 40)
+        one = m.score_tails if side == "tail" else m.score_heads
+        for row, r, a in zip(block, relations, anchors):
+            ref = one(int(r), int(a))
+            if kind == "transe":
+                assert np.array_equal(row, ref)  # same per-row arithmetic
+            else:
+                np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
+
+    def test_score_block_rejects_bad_input(self):
+        m = EmbeddingModel.initialize("complex", 4, 2, 3, seed=0)
+        with pytest.raises(DataError, match="out of range"):
+            m.score_block(np.array([0]), np.array([4]), "tail")
+        with pytest.raises(DataError, match="out of range"):
+            m.score_block(np.array([2]), np.array([0]), "head")
+        with pytest.raises(DataError, match="side"):
+            m.score_block(np.array([0]), np.array([0]), "middle")
+
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "complex"])
+    def test_evaluate_names_first_non_finite_score_like_rank_query(self, kind):
+        # x scores NaN wherever it is a candidate. It is filtered from the tail
+        # query of (a, r, b) but not from its head query, and it is a candidate
+        # of the tail query of (c, r, d), which a block scores earlier.
+        kg = ingest_triples(["a\tr\tx", "e\tr\tb"], "train")
+        kg = ingest_triples(["a\tr\tb", "c\tr\td"], "test", kg)
+        m = EmbeddingModel.initialize(kind, kg.n_entities, kg.n_relations, 4, seed=3)
+        m.entity_re[kg.entities.id("x")] = np.nan
+        first = kg.triples("test")[0]
+        rank_query(m, kg, first, "tail")
+        with pytest.raises(NumericError) as reference:
+            rank_query(m, kg, first, "head")
+        assert f"entity {kg.entities.id('x')} " in str(reference.value)
+        with pytest.raises(NumericError) as info:
+            evaluate(m, kg, split="test")
+        assert str(info.value) == str(reference.value)
 
 
 class TestNegativeSampling:

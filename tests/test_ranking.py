@@ -1,13 +1,18 @@
 """Tie-aware ranks against the direct indicator-sum formulas."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kgbench import ranking
+from kgbench.embed import MODEL_KINDS, EmbeddingModel
 from kgbench.errors import DataError, NumericError
 from kgbench.kg import Triple, ingest_triples
 from kgbench.ranking import (
+    SIDES,
     ConstantScorer,
     CorruptionSet,
     FunctionScorer,
@@ -19,6 +24,7 @@ from kgbench.ranking import (
     pessimistic_rank,
     rank_query,
 )
+from kgbench.rules import RuleScorer, mine_all
 from conftest import random_kg
 from oracles import oracle_ranks
 
@@ -250,3 +256,88 @@ class TestEvaluate:
         fs = FunctionScorer(lambda r, h, t: 1.0 if Triple(h, r, t) in truth else 0.0, kg.n_entities)
         result = evaluate(fs, kg, split="test", rank_mode="expected")
         assert result.hits[1] == 1.0
+
+
+@st.composite
+def graphs(draw):
+    """A random graph with train and test triples, and the rng that built it."""
+    n = draw(st.integers(min_value=2, max_value=20))
+    n_rel = draw(st.integers(min_value=1, max_value=3))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    capacity = n * n * n_rel
+    n_train = draw(st.integers(min_value=1, max_value=min(40, capacity - 1)))
+    n_test = draw(st.integers(min_value=1, max_value=min(12, capacity - n_train)))
+    kg = random_kg(rng, n, n_rel, n_train, "train")
+    return random_kg(rng, n, n_rel, n_test, "test", kg), rng
+
+
+# rows per block: None keeps evaluate's own block size, larger than any
+# split drawn here; 1 to 4 split the test queries over several blocks
+block_rows = st.one_of(st.none(), st.integers(min_value=1, max_value=4))
+
+
+def _assert_blocks_match_reference(scorer, kg, rows):
+    reference = [rank_query(scorer, kg, t, side) for t in kg.triples("test") for side in SIDES]
+    block_bytes = ranking._BLOCK_BYTES if rows is None else 8 * kg.n_entities * rows
+    with mock.patch.object(ranking, "_BLOCK_BYTES", block_bytes):
+        assert evaluate(scorer, kg, split="test").queries == reference
+
+
+class TestBlockRanking:
+    """evaluate ranks in (B, N) blocks; rank_query is its per-query reference."""
+
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(), block_rows, st.sampled_from(["real", "integer"]), st.booleans(), st.data())
+    def test_embedding_models(self, kind, graph, rows, weights, duplicate_rows, data):
+        # integer-valued weights make every product and sum exact, so both
+        # groupings of the terms give the same scores and ties are common
+        kg, rng = graph
+        dim = data.draw(st.integers(min_value=1, max_value=6))
+
+        def mat(n_rows):
+            if weights == "integer":
+                return rng.integers(-2, 3, size=(n_rows, dim)).astype(np.float64)
+            return rng.uniform(-1.0, 1.0, size=(n_rows, dim))
+
+        complex_ = kind == "complex"
+        model = EmbeddingModel(kind, mat(kg.n_entities), mat(kg.n_relations),
+                               mat(kg.n_entities) if complex_ else None, mat(kg.n_relations) if complex_ else None)
+        if duplicate_rows:
+            src, dst = rng.integers(0, kg.n_entities, size=(2, max(1, kg.n_entities // 3)))
+            for matrix in (model.entity_re, model.entity_im):
+                if matrix is not None:
+                    matrix[dst] = matrix[src]
+        _assert_blocks_match_reference(model, kg, rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(), block_rows, st.sampled_from(["constant", "membership", "rules"]), st.booleans())
+    def test_scorers_without_score_block(self, graph, rows, kind, flag):
+        kg, rng = graph
+        if kind == "constant":
+            scorer = ConstantScorer(kg.n_entities, value=1.5 if flag else 0.0)
+        elif kind == "membership":
+            known = sorted(kg.known_true)
+            keep = rng.random(len(known)) < 0.5
+            scorer = MembershipScorer([t for t, k in zip(known, keep) if k or flag], kg.n_entities)
+        else:
+            scorer = RuleScorer(mine_all(kg, max_body_len=2), kg, score_known_train=flag)
+        _assert_blocks_match_reference(scorer, kg, rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs())
+    def test_membership_scorer_rows_are_the_set_indicator(self, graph):
+        kg, rng = graph
+        scorer = MembershipScorer(kg.triples("train"), kg.n_entities)
+        for r in range(kg.n_relations):
+            for a in range(kg.n_entities):
+                tails = [scorer.score(r, a, e) for e in range(kg.n_entities)]
+                heads = [scorer.score(r, e, a) for e in range(kg.n_entities)]
+                assert scorer.score_tails(r, a).tolist() == tails
+                assert scorer.score_heads(r, a).tolist() == heads
+
+    def test_scores_of_another_width_are_data_error(self):
+        kg = ingest_triples(["a\tr\tb"], "train")
+        kg = ingest_triples(["b\tr\ta"], "test", kg)
+        with pytest.raises(DataError, match="3 scores per query for 2 entities"):
+            evaluate(ConstantScorer(3), kg, split="test")
