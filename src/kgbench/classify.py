@@ -247,10 +247,10 @@ def assert_label_free(kg: KnowledgeGraph, label_relation: str) -> None:
     if label_relation not in kg.relations:
         return
     rid = kg.relations.id(label_relation)
-    leaked = [t for t in kg.known_true if t.relation == rid]
+    leaked = int(np.count_nonzero(kg.all_rows()[:, 1] == rid))
     if leaked:
         raise DataError(
-            f"label relation {label_relation!r} has {len(leaked)} triples in the "
+            f"label relation {label_relation!r} has {leaked} triples in the "
             "embedding graph; strip them before training"
         )
 
@@ -359,7 +359,6 @@ class RuleBasedClassifier:
         ]
         counts = np.bincount(labeled.labels[train_rows], minlength=labeled.n_classes)
         self._majority = int(np.argmax(counts))
-        self._kg2 = kg2
         return self
 
     def predict(self, entity_ids: Sequence[int]) -> np.ndarray:

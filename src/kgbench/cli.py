@@ -193,6 +193,13 @@ def build_parser() -> _Parser:
 # -- subcommand implementations ---------------------------------------------------
 
 
+def _load_graph(args):
+    from .kg import load_kg
+
+    kg_dir = _resolve_data_path(args.kg)
+    return kg_dir, load_kg(kg_dir)
+
+
 def _cmd_ingest(args) -> int:
     from .kg import load_dataset, save_kg
 
@@ -240,10 +247,8 @@ def _cmd_reify(args) -> int:
 
 def _cmd_train(args) -> int:
     from .embed import TrainConfig, checkpoint_path, train, write_features_csv
-    from .kg import load_kg
 
-    kg_dir = _resolve_data_path(args.kg)
-    kg = load_kg(kg_dir)
+    kg_dir, kg = _load_graph(args)
     cfg = TrainConfig(
         model=args.model,
         dim=args.dim,
@@ -288,11 +293,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_mine_rules(args) -> int:
-    from .kg import load_kg
     from .rules import mine_all, mine_rules, save_theories
 
-    kg_dir = _resolve_data_path(args.kg)
-    kg = load_kg(kg_dir)
+    kg_dir, kg = _load_graph(args)
     if not args.all_targets and not args.target:
         raise UsageError("mine-rules: --target NAME or --all-targets is required")
     if args.all_targets:
@@ -363,14 +366,10 @@ def _sniff_scorer(path: Path, kg, score_known_train: bool):
 
 
 def _cmd_eval_kbc(args) -> int:
-    from .kg import load_kg
     from .ranking import evaluate
 
-    kg_dir = _resolve_data_path(args.kg)
-    kg = load_kg(kg_dir)
+    kg_dir, kg = _load_graph(args)
     scorer_path = _resolve_data_path(args.scorer)
-    if not scorer_path.is_file():
-        raise DataError(f"scorer file not found: {scorer_path}")
     scorer, scorer_kind = _sniff_scorer(scorer_path, kg, args.score_known_train)
     hits_at = tuple(int(s) for s in str(args.hits).split(",") if s.strip())
     result = evaluate(scorer, kg, split=args.split, rank_mode=args.rank, hits_at=hits_at)
@@ -399,11 +398,9 @@ def _cmd_eval_kbc(args) -> int:
 
 def _cmd_analyze(args) -> int:
     from .graphs import profile_kg
-    from .kg import load_kg
     from .report import render_profile_table
 
-    kg_dir = _resolve_data_path(args.kg)
-    kg = load_kg(kg_dir)
+    kg_dir, kg = _load_graph(args)
     profile = profile_kg(kg, node_guard=args.node_guard)
     full = profile.to_dict()
     if args.mode != "both":
@@ -432,10 +429,8 @@ def _cmd_classify(args) -> int:
         nested_cv,
         symbolic_cv,
     )
-    from .kg import load_kg
 
-    kg_dir = _resolve_data_path(args.kg)
-    kg = load_kg(kg_dir)
+    kg_dir, kg = _load_graph(args)
     labels_path = _resolve_data_path(args.labels)
     with labels_path.open(encoding="utf-8") as fh:
         labeled = load_labels(fh, kg, source=str(labels_path))
@@ -557,7 +552,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:  # also a missing, unreadable or non-UTF-8 input
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

@@ -310,28 +310,29 @@ class SamplerStats:
 
 def sample_negatives(
     kg: KnowledgeGraph,
-    t: Triple,
+    t: Sequence[int],
     k: int,
     rng: np.random.Generator,
     stats: SamplerStats | None = None,
     max_retries: int = 100,
-) -> list[Triple]:
-    """k corrupted triples, replacing head or tail (fair coin) with a
-    uniform entity; candidates found in known_true are rejected and
-    resampled. After `max_retries` rejections a known-true candidate is
-    accepted anyway and the stats counter is incremented."""
+) -> list[tuple[int, int, int]]:
+    """k corrupted (head, relation, tail) tuples of the triple t, replacing
+    head or tail (fair coin) with a uniform entity; known-true candidates
+    are rejected and resampled. After `max_retries` rejections a known-true
+    candidate is accepted anyway and the stats counter is incremented."""
     if k < 1:
         raise DataError("negative sample count must be >= 1")
-    n = kg.n_entities
-    out: list[Triple] = []
+    n, n_rel, known = kg.n_entities, kg.n_relations, kg.known_keys()  # holds (head * n_rel + relation) * n + tail
+    h, r, tl = t
+    out: list[tuple[int, int, int]] = []
     for _ in range(k):
-        cand = t
+        cand = (h, r, tl)
         accepted = False
         for _attempt in range(max_retries):
             corrupt_head = rng.random() < 0.5
             e = int(rng.integers(0, n))
-            cand = Triple(e, t.relation, t.tail) if corrupt_head else Triple(t.head, t.relation, e)
-            if cand not in kg.known_true:
+            cand = (e, r, tl) if corrupt_head else (h, r, e)
+            if ((e * n_rel + r) * n + tl if corrupt_head else (h * n_rel + r) * n + e) not in known:
                 accepted = True
                 break
         if not accepted and stats is not None:
@@ -519,14 +520,14 @@ def train(
     returned unchanged. Raises NumericError naming epoch and batch if the
     loss goes non-finite.
     """
-    triples = kg.triples("train")
-    if not triples and cfg.epochs > 0:
+    arr = kg.rows("train")
+    if not len(arr) and cfg.epochs > 0:
         raise DataError("train split is empty")
     model = EmbeddingModel.initialize(cfg.model, kg.n_entities, kg.n_relations, cfg.dim, cfg.seed)
     result = TrainResult(model=model)
     rng = np.random.default_rng(cfg.seed)
     stats = SamplerStats()
-    arr = np.asarray(triples, dtype=np.int64)
+    k = cfg.negatives_per_positive
 
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(arr))
@@ -534,7 +535,7 @@ def train(
         n_batches = 0
         for bi, start in enumerate(range(0, len(arr), cfg.batch_size)):
             batch = arr[order[start : start + cfg.batch_size]]
-            negs = _sample_negative_block(kg, batch, cfg.negatives_per_positive, rng, stats)
+            negs = np.array([sample_negatives(kg, t, k, rng, stats) for t in batch.tolist()], dtype=np.int64)
             loss, grads = batch_gradients(model, batch, negs, cfg)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {bi}")
@@ -559,21 +560,6 @@ def _check_finite_params(model: EmbeddingModel, epoch: int) -> None:
         arr = getattr(model, name)
         if arr is not None and not np.isfinite(arr).all():
             raise NumericError(f"non-finite {name} entries after epoch {epoch}")
-
-
-def _sample_negative_block(
-    kg: KnowledgeGraph,
-    batch: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    stats: SamplerStats,
-) -> np.ndarray:
-    negs = np.empty((len(batch), k, 3), dtype=np.int64)
-    for i, row in enumerate(batch):
-        t = Triple(int(row[0]), int(row[1]), int(row[2]))
-        for j, neg in enumerate(sample_negatives(kg, t, k, rng, stats)):
-            negs[i, j] = neg
-    return negs
 
 
 def _apply_sgd(model: EmbeddingModel, grads: dict[str, np.ndarray], lr: float) -> None:

@@ -1,9 +1,8 @@
 """Triple store: ingestion, vocabularies, reification, splits, serialization.
 
 A :class:`KnowledgeGraph` owns dense integer vocabularies for entities and
-relations, per-split triple lists, the deduplicated set of all known-true
-triples used for filtered evaluation, and adjacency indices for fast
-(head, relation) -> tails lookups.
+relations and stores each split as one (M, 3) int array, from which it
+derives a CSR adjacency index and a hashed membership set on first use.
 """
 
 from __future__ import annotations
@@ -15,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -22,6 +23,7 @@ log = logging.getLogger(__name__)
 SPLITS = ("train", "valid", "test")
 
 KG_MAGIC = b"KGB1"
+_NO_ROWS = np.zeros((0, 3), dtype=np.int64)
 
 
 class Triple(NamedTuple):
@@ -75,44 +77,79 @@ class Vocab:
         return list(self._labels)
 
 
-class KnowledgeGraph:
-    """Indexed triple store with train/valid/test splits.
+class Adjacency:
+    """CSR index of (M, 3) (head, relation, tail) rows for one side:
+    (relation, anchor) -> the entities on `side` ("tail": the anchor is the
+    head), in row order, each with its entry of `tags`."""
 
-    Splits are pairwise disjoint triple sets; ``known_true`` is exactly their
-    union. Duplicate triples within one split are dropped with a warning,
-    duplicates across splits are an error. The graph is append-only during
-    ingestion and treated as immutable afterwards.
-    """
+    def __init__(self, rows: np.ndarray, n_entities: int, side: str, tags: np.ndarray) -> None:
+        anchor, other = (0, 2) if side == "tail" else (2, 0)
+        group = rows[:, 1] * n_entities + rows[:, anchor]
+        order = np.argsort(group, kind="stable")
+        group = group[order]
+        starts = np.flatnonzero(np.diff(group, prepend=-1))  # group keys are >= 0
+        self.n_entities, self.groups, self.offsets = n_entities, group[starts], np.append(starts, len(group))
+        self.entities, self.tags = rows[order, other], tags[order]
+
+    def __call__(self, relation: int, anchor: int) -> tuple[np.ndarray, np.ndarray]:
+        key = relation * self.n_entities + anchor
+        i = int(np.searchsorted(self.groups, key))
+        found = 0 <= anchor < self.n_entities and i < len(self.groups) and self.groups[i] == key
+        lo, hi = (self.offsets[i], self.offsets[i + 1]) if found else (0, 0)
+        return self.entities[lo:hi], self.tags[lo:hi]
+
+
+class KnowledgeGraph:
+    """Columnar triple store: ``splits[s]`` is split ``s`` as an (M, 3)
+    int64 array of (head, relation, tail) rows in insertion order, replaced
+    on change, never changed in place. Splits are pairwise disjoint;
+    duplicates within a split are dropped with a warning, duplicates across
+    splits are an error. Derived on first use, rebuilt after any change: an
+    :class:`Adjacency` per side tagged with each entry's index in SPLITS,
+    and the set of triple keys (head * R + relation) * N + tail."""
 
     def __init__(self) -> None:
         self.entities = Vocab()
         self.relations = Vocab()
-        self.splits: dict[str, list[Triple]] = {s: [] for s in SPLITS}
-        self.known_true: set[Triple] = set()
+        self.splits: dict[str, np.ndarray] = {s: _NO_ROWS for s in SPLITS}
         self.attribute_relations: set[int] = set()
-        # (relation, head) -> set of tails and (relation, tail) -> set of heads
-        self._tails: dict[tuple[int, int], set[int]] = {}
-        self._heads: dict[tuple[int, int], set[int]] = {}
-        self._split_of: dict[Triple, str] = {}
+        self._cache: dict[str, tuple[tuple[int, int], object]] = {}
 
     # -- construction -----------------------------------------------------
 
     def add_triple(self, head: str, relation: str, tail: str, split: str) -> Triple | None:
-        """Index labels and append the triple to `split`.
+        """Index labels and append the triple to `split`. Returns the indexed
+        triple, or None for a duplicate within `split` (dropped with a warning)."""
+        appended = self._ingest([(head, relation, tail)], split)
+        return Triple(*self.splits[split][-1].tolist()) if appended else None
 
-        Returns the indexed triple, or None when it was a duplicate within
-        the same split (dropped with a warning).
-        """
+    def _ingest(self, labelled: Iterable[tuple[str, str, str]], split: str) -> int:
+        """Append label triples to `split` as add_triple would one at a time; returns the number appended."""
         if split not in self.splits:
             raise DataError(f"unknown split tag: {split!r} (expected one of {SPLITS})")
-        t = Triple(self.entities.add(head), self.relations.add(relation), self.entities.add(tail))
-        if t in self.known_true:
-            if self._split_of[t] == split:
-                log.warning("dropping duplicate triple %s/%s/%s in split %r", head, relation, tail, split)
-                return None
-            raise DataError(f"duplicate triple across splits: {head}\t{relation}\t{tail}")
-        self._append_indexed(t, split)
-        return t
+        sizes = len(self.entities), len(self.relations)
+        ent, rel = self.entities.add, self.relations.add
+        rows = np.array([i for h, r, t in labelled for i in (ent(h), rel(r), ent(t))], dtype=np.int64).reshape(-1, 3)
+        keys = self._keys(rows)
+        first = np.zeros(len(rows), dtype=bool)
+        first[np.unique(keys, return_index=True)[1]] = True
+        dup = ~first | np.isin(keys, self._keys(self.splits[split]))
+        clash = np.flatnonzero(np.isin(keys, np.concatenate([self._keys(self.splits[s]) for s in SPLITS if s != split])))
+        stop = int(clash[0]) if len(clash) else len(rows)
+        for h, r, t in rows[:stop][dup[:stop]].tolist():
+            log.warning("dropping duplicate triple %s/%s/%s in split %r", *self._labels(h, r, t), split)
+        kept = rows[:stop][~dup[:stop]]
+        self.splits[split] = np.concatenate([self.splits[split], kept])
+        self._cache.clear()
+        if len(clash):
+            # forget the labels first seen after the clashing triple: one at a time, they were never reached
+            self.entities = Vocab(self.entities.labels()[: max(sizes[0], int(rows[: stop + 1, [0, 2]].max()) + 1)])
+            self.relations = Vocab(self.relations.labels()[: max(sizes[1], int(rows[: stop + 1, 1].max()) + 1)])
+            raise DataError("duplicate triple across splits: " + "\t".join(self._labels(*rows[stop].tolist())))
+        return len(kept)
+
+    def _labels(self, head: int, relation: int, tail: int) -> tuple[str, str, str]:
+        return self.entities.label(head), self.relations.label(relation), self.entities.label(tail)
 
     def mark_attribute(self, relation: str) -> None:
         self.attribute_relations.add(self.relations.add(relation))
@@ -127,50 +164,80 @@ class KnowledgeGraph:
     def n_relations(self) -> int:
         return len(self.relations)
 
-    def triples(self, split: str) -> list[Triple]:
+    def rows(self, split: str) -> np.ndarray:
+        """The (M, 3) int64 (head, relation, tail) rows of `split`."""
         if split not in self.splits:
             raise DataError(f"unknown split tag: {split!r}")
         return self.splits[split]
 
+    def all_rows(self) -> np.ndarray:
+        """The rows of every split, in SPLITS order (built once, then shared)."""
+        return self._derived("rows", lambda: np.concatenate([self.splits[s] for s in SPLITS]))
+
+    def triples(self, split: str) -> list[Triple]:
+        """The rows of `split` as Triples, built on each call."""
+        return list(map(Triple._make, self.rows(split).tolist()))
+
+    @property
+    def known_true(self) -> set[Triple]:
+        """Every triple of every split, as a set built on each access."""
+        return set(map(Triple._make, self.all_rows().tolist()))
+
+    def known_keys(self) -> set[int]:
+        """The key of every known-true triple, for scalar membership tests."""
+        return self._derived("keys", lambda: set(self._keys(self.all_rows()).tolist()))
+
+    def adjacent(self, relation: int, anchor: int, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """The entities e with (anchor, relation, e) known true (side "tail")
+        or (e, relation, anchor) known true (side "head"), in split then
+        insertion order, and for each the index in SPLITS of its split."""
+        return self._derived("csr", self._build_csr)[side](relation, anchor)
+
     def tails_of(self, relation: int, head: int) -> set[int]:
         """All tails t with (head, relation, t) in any split."""
-        return self._tails.get((relation, head), set())
+        return set(self.adjacent(relation, head, "tail")[0].tolist())
 
     def heads_of(self, relation: int, tail: int) -> set[int]:
-        return self._heads.get((relation, tail), set())
+        return set(self.adjacent(relation, tail, "head")[0].tolist())
 
-    def _append_indexed(self, t: Triple, split: str) -> None:
-        self.splits[split].append(t)
-        self.known_true.add(t)
-        self._split_of[t] = split
-        self._tails.setdefault((t.relation, t.head), set()).add(t.tail)
-        self._heads.setdefault((t.relation, t.tail), set()).add(t.head)
+    def _keys(self, rows: np.ndarray) -> np.ndarray:
+        n, r = self.n_entities, self.n_relations
+        if n * n * r >= 2**63:
+            raise DataError(f"{n} entities and {r} relations overflow 64-bit triple keys")
+        return (rows[:, 0] * r + rows[:, 1]) * n + rows[:, 2]
+
+    def _derived(self, name: str, build):
+        """Index `name`, rebuilt if a vocabulary grew (new rows clear the cache)."""
+        shape = (len(self.entities), len(self.relations))
+        if self._cache.get(name, (None,))[0] != shape:
+            self._cache[name] = (shape, build())
+        return self._cache[name][1]
+
+    def _build_csr(self) -> dict[str, Adjacency]:
+        split_ids = np.repeat(np.arange(len(SPLITS), dtype=np.int8), [len(self.splits[s]) for s in SPLITS])
+        return {side: Adjacency(self.all_rows(), self.n_entities, side, split_ids) for side in ("tail", "head")}
+
+    def _copy_vocab(self) -> "KnowledgeGraph":
+        out = KnowledgeGraph()
+        out.entities = Vocab(self.entities.labels())
+        out.relations = Vocab(self.relations.labels())
+        out.attribute_relations = set(self.attribute_relations)
+        return out
 
     def copy_without_relations(self, relations: set[int]) -> "KnowledgeGraph":
         """A new graph with identical vocabularies but without triples of
         the given relations. Relation indices stay stable so embedding
         matrices built on either graph are aligned."""
-        out = KnowledgeGraph()
-        out.entities = Vocab(self.entities.labels())
-        out.relations = Vocab(self.relations.labels())
-        out.attribute_relations = set(self.attribute_relations) - relations
-        for split in SPLITS:
-            for t in self.splits[split]:
-                if t.relation not in relations:
-                    out._append_indexed(t, split)
+        out = self._copy_vocab()
+        out.attribute_relations -= relations
+        out.splits = {s: rows[~np.isin(rows[:, 1], list(relations))] for s, rows in self.splits.items()}
         return out
 
     def extended(self, label_triples: Sequence[tuple[str, str, str]], split: str) -> "KnowledgeGraph":
         """A new graph with extra triples (given as label strings) appended."""
-        out = KnowledgeGraph()
-        out.entities = Vocab(self.entities.labels())
-        out.relations = Vocab(self.relations.labels())
-        out.attribute_relations = set(self.attribute_relations)
-        for s in SPLITS:
-            for t in self.splits[s]:
-                out._append_indexed(t, s)
-        for h, r, t in label_triples:
-            out.add_triple(h, r, t, split)
+        out = self._copy_vocab()
+        out.splits = dict(self.splits)
+        out._ingest(label_triples, split)
         return out
 
 
@@ -187,21 +254,25 @@ def ingest_triples(
 
     Empty lines and `#`-prefixed comment lines are skipped. Malformed lines
     raise :class:`DataError` naming the line number. Pass an existing graph
-    to ingest incrementally.
+    to ingest incrementally. When a line raises, the ones before it stay.
     """
-    if kg is None:
-        kg = KnowledgeGraph()
-    if split not in SPLITS:
-        raise DataError(f"unknown split tag: {split!r} (expected one of {SPLITS})")
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").rstrip("\r")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3 or not all(p.strip() for p in parts):
-            raise DataError(f"{source}:{lineno}: malformed triple line: {line!r}")
-        h, r, t = (p.strip() for p in parts)
-        kg.add_triple(h, r, t, split)
+    kg = KnowledgeGraph() if kg is None else kg
+    malformed: list[DataError] = []
+
+    def parsed() -> Iterator[tuple[str, ...]]:
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3 or not all(p.strip() for p in parts):
+                malformed.append(DataError(f"{source}:{lineno}: malformed triple line: {line!r}"))
+                return
+            yield tuple(p.strip() for p in parts)
+
+    kg._ingest(parsed(), split)
+    if malformed:
+        raise malformed[0]
     return kg
 
 
@@ -229,25 +300,14 @@ def load_dataset(
     """
     sources = [(p, s) for p, s in ((train, "train"), (valid, "valid"), (test, "test")) if p is not None]
     kg = KnowledgeGraph()
-    if sorted_vocab:
-        ents: set[str] = set()
-        rels: set[str] = set()
-        for path, _ in sources:
-            for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise DataError(f"{path}:{lineno}: malformed triple line: {line!r}")
-                ents.add(parts[0].strip())
-                rels.add(parts[1].strip())
-                ents.add(parts[2].strip())
-        kg.entities = Vocab(sorted(ents))
-        kg.relations = Vocab(sorted(rels))
     for path, split in sources:
         with path.open(encoding="utf-8") as fh:
             ingest_triples(fh, split, kg, source=str(path))
+    if sorted_vocab:  # ingest the same triples again, into sorted vocabularies
+        seen, kg = kg, KnowledgeGraph()
+        kg.entities, kg.relations = Vocab(sorted(seen.entities.labels())), Vocab(sorted(seen.relations.labels()))
+        for split in SPLITS:
+            kg._ingest((seen._labels(*t) for t in seen.splits[split].tolist()), split)
     if attributes is not None:
         with attributes.open(encoding="utf-8") as fh:
             ingest_attribute_schema(fh, kg)
@@ -328,44 +388,29 @@ def project_graph(kg: KnowledgeGraph, mode: str = "uninformed"):
     if mode not in ("informed", "uninformed"):
         raise DataError(f"unknown projection mode: {mode!r}")
     g = UndirectedGraph()
-    touched: set[int] = set()
-    for split in SPLITS:
-        for t in kg.splits[split]:
-            drop = mode == "informed" and t.relation in kg.attribute_relations
-            if not drop:
-                g.add_edge(t.head, t.tail)
-            touched.add(t.head)
-            touched.add(t.tail)
-    if mode == "uninformed":
-        for v in touched:
-            g.add_node(v)
+    rows = kg.all_rows()
+    if mode == "informed":
+        rows = rows[~np.isin(rows[:, 1], list(kg.attribute_relations))]
+    for h, t in rows[:, [0, 2]].tolist():
+        g.add_edge(h, t)
     return g
 
 
 # -- serialization -----------------------------------------------------------
 
 
-def _write_idx(path: Path, triples: Sequence[Triple]) -> None:
-    with path.open("wb") as fh:
-        fh.write(KG_MAGIC)
-        fh.write(struct.pack("<I", len(triples)))
-        for t in triples:
-            fh.write(struct.pack("<iii", t.head, t.relation, t.tail))
+def _write_idx(path: Path, rows: np.ndarray) -> None:
+    path.write_bytes(KG_MAGIC + struct.pack("<I", len(rows)) + rows.astype("<i4").tobytes())
 
 
-def _read_idx(path: Path) -> list[Triple]:
+def _read_idx(path: Path) -> np.ndarray:
     data = path.read_bytes()
     if data[:4] != KG_MAGIC:
         raise DataError(f"{path}: bad magic, not a serialized split file")
-    (count,) = struct.unpack_from("<I", data, 4)
-    expected = 8 + 12 * count
-    if len(data) != expected:
-        raise DataError(f"{path}: truncated split file ({len(data)} bytes, expected {expected})")
-    out = []
-    for i in range(count):
-        h, r, t = struct.unpack_from("<iii", data, 8 + 12 * i)
-        out.append(Triple(h, r, t))
-    return out
+    count = struct.unpack_from("<I", data, 4)[0] if len(data) >= 8 else 0
+    if len(data) != 8 + 12 * count:
+        raise DataError(f"{path}: truncated split file ({len(data)} bytes, expected {8 + 12 * count})")
+    return np.frombuffer(data, dtype="<i4", offset=8).reshape(count, 3).astype(np.int64)
 
 
 def save_kg(kg: KnowledgeGraph, directory: Path) -> None:
@@ -390,35 +435,43 @@ def save_kg(kg: KnowledgeGraph, directory: Path) -> None:
 
 
 def _read_vocab_tsv(path: Path) -> Vocab:
-    labels = []
+    vocab = Vocab()
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         parts = raw.split("\t")
         if len(parts) != 2:
             raise DataError(f"{path}:{lineno}: malformed vocabulary line")
-        idx = int(parts[0])
-        if idx != lineno - 1:
-            raise DataError(f"{path}:{lineno}: non-contiguous index {idx}")
-        labels.append(parts[1])
-    return Vocab(labels)
+        if not parts[0].strip().isdecimal() or int(parts[0]) != lineno - 1:
+            raise DataError(f"{path}:{lineno}: index {parts[0]!r} is not the integer {lineno - 1}")
+        if vocab.add(parts[1]) != lineno - 1:
+            raise DataError(f"{path}:{lineno}: label {parts[1]!r} repeats line {vocab.id(parts[1]) + 1}")
+    return vocab
 
 
 def load_kg(directory: Path) -> KnowledgeGraph:
+    """Read a directory written by :func:`save_kg`, rejecting out-of-range
+    indices and triples repeated within or across the split files."""
     directory = Path(directory)
     kg = KnowledgeGraph()
     kg.entities = _read_vocab_tsv(directory / "entities.tsv")
     kg.relations = _read_vocab_tsv(directory / "relations.tsv")
+    seen = np.zeros(0, dtype=np.int64)
     for split in SPLITS:
         path = directory / f"{split}.idx"
         if not path.exists():
             continue
-        for t in _read_idx(path):
-            if not (0 <= t.head < len(kg.entities) and 0 <= t.tail < len(kg.entities)):
-                raise DataError(f"{path}: entity index out of range in {t}")
-            if not 0 <= t.relation < len(kg.relations):
-                raise DataError(f"{path}: relation index out of range in {t}")
-            if t in kg.known_true:
-                raise DataError(f"{path}: duplicate triple across splits: {t}")
-            kg._append_indexed(t, split)
+        rows = _read_idx(path)
+        keys = np.concatenate([seen, kg._keys(rows)])
+        repeated = np.ones(len(keys), dtype=bool)
+        repeated[np.unique(keys, return_index=True)[1]] = False
+        for bad, what in (
+            (((rows[:, [0, 2]] < 0) | (rows[:, [0, 2]] >= kg.n_entities)).any(axis=1), "entity index out of range in"),
+            ((rows[:, 1] < 0) | (rows[:, 1] >= kg.n_relations), "relation index out of range in"),
+            (repeated[len(seen) :], "duplicate triple across splits:"),
+        ):
+            if bad.any():
+                raise DataError(f"{path}: {what} {Triple(*rows[int(np.argmax(bad))].tolist())}")
+        kg.splits[split] = rows
+        seen = keys
     attrs = directory / "attributes.txt"
     if attrs.exists():
         with attrs.open(encoding="utf-8") as fh:

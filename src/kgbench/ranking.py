@@ -16,7 +16,7 @@ from typing import Iterable, Protocol, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .kg import KnowledgeGraph, Triple
+from .kg import Adjacency, KnowledgeGraph, Triple
 
 RANK_MODES = ("optimistic", "expected", "pessimistic")
 DEFAULT_HITS = (1, 3, 10)
@@ -27,7 +27,6 @@ SIDES = ("tail", "head")  # the order in which each triple's queries are ranked
 # would only add memory
 _BLOCK_BYTES = 4 << 20
 _BLOCK_ROWS = 64
-_NO_ENTITIES = np.zeros(0, dtype=np.intp)
 
 
 class Scorer(Protocol):
@@ -87,25 +86,20 @@ class MembershipScorer:
     def __init__(self, true_triples: Iterable[Triple], n_entities: int) -> None:
         self.true = set(true_triples)
         self.n_entities = n_entities
-        tails: dict[tuple[int, int], list[int]] = {}
-        heads: dict[tuple[int, int], list[int]] = {}
-        for t in self.true:
-            tails.setdefault((t.relation, t.head), []).append(t.tail)
-            heads.setdefault((t.relation, t.tail), []).append(t.head)
-        self._tails = {k: np.array(v, dtype=np.intp) for k, v in tails.items()}
-        self._heads = {k: np.array(v, dtype=np.intp) for k, v in heads.items()}
+        rows = np.array(list(self.true), dtype=np.int64).reshape(-1, 3)
+        self._index = {side: Adjacency(rows, n_entities, side, np.zeros(len(rows), dtype=np.int8)) for side in SIDES}
 
     def score(self, relation: int, head: int, tail: int) -> float:
         return 1.0 if Triple(head, relation, tail) in self.true else 0.0
 
     def score_tails(self, relation: int, head: int) -> np.ndarray:
         out = np.zeros(self.n_entities)
-        out[self._tails.get((relation, head), _NO_ENTITIES)] = 1.0
+        out[self._index["tail"](relation, head)[0]] = 1.0
         return out
 
     def score_heads(self, relation: int, tail: int) -> np.ndarray:
         out = np.zeros(self.n_entities)
-        out[self._heads.get((relation, tail), _NO_ENTITIES)] = 1.0
+        out[self._index["head"](relation, tail)[0]] = 1.0
         return out
 
 
@@ -129,12 +123,9 @@ class CorruptionSet:
 def _filter_row(mask: np.ndarray, kg: KnowledgeGraph, query: Triple, side: str) -> int:
     """Set `mask` (length N) to the filtered candidates of `query` corrupted
     on `side`; returns the true entity."""
-    if side == "tail":
-        known, true_e = kg.tails_of(query.relation, query.head), query.tail
-    else:
-        known, true_e = kg.heads_of(query.relation, query.tail), query.head
+    anchor, true_e = (query.head, query.tail) if side == "tail" else (query.tail, query.head)
     mask[:] = True
-    mask[np.fromiter(known, dtype=np.intp, count=len(known))] = False
+    mask[kg.adjacent(query.relation, anchor, side)[0]] = False
     mask[true_e] = True
     return true_e
 
@@ -282,10 +273,11 @@ def _score_rows(scorer: Scorer, relations: np.ndarray, anchors: np.ndarray, side
     return np.stack([np.asarray(one(int(r), int(a)), dtype=np.float64) for r, a in zip(relations, anchors)])
 
 
-def _rank_block(scorer: Scorer, kg: KnowledgeGraph, block: Sequence[Triple]) -> list[QueryRank]:
-    """Ranks of both queries of every triple in `block`, in the order of
-    rank_query per triple and side, with the same exact comparisons."""
-    arr = np.array(block, dtype=np.intp).reshape(-1, 3)
+def _rank_block(scorer: Scorer, kg: KnowledgeGraph, arr: np.ndarray) -> list[QueryRank]:
+    """Ranks of both queries of every (head, relation, tail) row of `arr`,
+    in the order of rank_query per triple and side, with the same exact
+    comparisons."""
+    block = list(map(Triple._make, arr.tolist()))
     rows = np.arange(len(block))
     mask = np.empty((len(block), kg.n_entities), dtype=bool)
     counts: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -343,8 +335,8 @@ def evaluate(
     """
     if rank_mode not in RANK_MODES:
         raise DataError(f"unknown rank mode: {rank_mode!r}")
-    triples = kg.triples(split)
-    if not triples:
+    triples = kg.rows(split)
+    if not len(triples):
         raise DataError(f"split {split!r} is empty")
     size = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * kg.n_entities)))
     queries: list[QueryRank] = []

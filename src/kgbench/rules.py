@@ -20,9 +20,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DataError
-from .kg import KnowledgeGraph, Triple
+from .kg import SPLITS, KnowledgeGraph
 
 INV_PREFIX = "inv_"
+_TRAIN = SPLITS.index("train")
 COVERAGE_TERMINAL_BIN = 400
 
 
@@ -140,10 +141,16 @@ def chain_to_atoms(chain: Sequence[tuple[int, bool]], kg: KnowledgeGraph) -> tup
 def _adjacency(kg: KnowledgeGraph, split: str = "train"):
     fwd: dict[int, dict[int, set[int]]] = {}
     bwd: dict[int, dict[int, set[int]]] = {}
-    for t in kg.triples(split):
-        fwd.setdefault(t.relation, {}).setdefault(t.head, set()).add(t.tail)
-        bwd.setdefault(t.relation, {}).setdefault(t.tail, set()).add(t.head)
+    for h, r, t in kg.rows(split).tolist():
+        fwd.setdefault(r, {}).setdefault(h, set()).add(t)
+        bwd.setdefault(r, {}).setdefault(t, set()).add(h)
     return fwd, bwd
+
+
+def _pairs(rows: np.ndarray, relation: int) -> set[tuple[int, int]]:
+    """The (head, tail) pairs of `relation` among `rows`."""
+    rows = rows[rows[:, 1] == relation]
+    return set(zip(rows[:, 0].tolist(), rows[:, 2].tolist()))
 
 
 def _compose(reach: dict[int, set[int]], step: dict[int, set[int]]) -> dict[int, set[int]]:
@@ -185,8 +192,8 @@ def mine_rules(
         raise DataError("max_body_len must be in [1, 3]")
     fwd, bwd = _adjacency(kg)
     target_label = kg.relations.label(target)
-    true_pairs = {(t.head, t.tail) for t in kg.known_true if t.relation == target}
-    train_pairs = {(t.head, t.tail) for t in kg.triples("train") if t.relation == target}
+    true_pairs = _pairs(kg.all_rows(), target)
+    train_pairs = _pairs(kg.rows("train"), target)
     head_atom = Atom(target_label, ("X", "Y"))
     relations = [r for r in sorted(set(fwd) | set(bwd)) if allow_recursion or r != target]
     rules: list[HornRule] = []
@@ -197,14 +204,12 @@ def mine_rules(
         total = sum(len(ys) for ys in reach.values())
         if total < min_coverage:
             return
-        correct = 0
-        train_correct = 0
+        correct = train_correct = 0
         for x, ys in reach.items():
             for y in ys:
-                if (x, y) in true_pairs:
+                if (x, y) in true_pairs:  # train_pairs is a subset of true_pairs
                     correct += 1
-                if (x, y) in train_pairs:
-                    train_correct += 1
+                    train_correct += (x, y) in train_pairs
         if correct == 0:
             return  # never predicts the target: contributes nothing to scoring
         if correct / total < min_confidence:
@@ -274,7 +279,6 @@ class RuleScorer:
         self.n_entities = kg.n_entities
         self.score_known_train = score_known_train
         self._fwd, self._bwd = _adjacency(kg)
-        self._train_set = set(kg.triples("train"))
 
     def _walk(self, start: int, chain: Sequence[tuple[int, bool]]) -> set[int]:
         cur = {start}
@@ -294,8 +298,12 @@ class RuleScorer:
     def _reverse(chain: Sequence[tuple[int, bool]]) -> tuple[tuple[int, bool], ...]:
         return tuple((rel, not inv) for rel, inv in reversed(chain))
 
+    def _known_train(self, relation: int, anchor: int, side: str) -> np.ndarray:
+        entities, split_ids = self.kg.adjacent(relation, anchor, side)
+        return entities[split_ids == _TRAIN]
+
     def score(self, relation: int, head: int, tail: int) -> float:
-        if self.score_known_train and Triple(head, relation, tail) in self._train_set:
+        if self.score_known_train and tail in self._known_train(relation, head, "tail"):
             return 1.0
         theory = self.theories.get(relation)
         if theory is None:
@@ -310,14 +318,7 @@ class RuleScorer:
     def _score_side(self, relation: int, anchor: int, backward: bool) -> np.ndarray:
         out = np.zeros(self.n_entities, dtype=np.float64)
         if self.score_known_train:
-            if backward:
-                for e in self.kg.heads_of(relation, anchor):
-                    if Triple(e, relation, anchor) in self._train_set:
-                        out[e] = 1.0
-            else:
-                for e in self.kg.tails_of(relation, anchor):
-                    if Triple(anchor, relation, e) in self._train_set:
-                        out[e] = 1.0
+            out[self._known_train(relation, anchor, "head" if backward else "tail")] = 1.0
         theory = self.theories.get(relation)
         if theory is None:
             return out
@@ -350,22 +351,15 @@ def rule_scorer(
 
 def connected_relations(kg: KnowledgeGraph) -> dict[int, int]:
     """For each relation, how many distinct other relations share at least
-    one entity with it (over the whole fact set)."""
-    ent_rels: dict[int, set[int]] = {}
-    for t in kg.known_true:
-        ent_rels.setdefault(t.head, set()).add(t.relation)
-        ent_rels.setdefault(t.tail, set()).add(t.relation)
-    counts: dict[int, int] = {}
-    rel_ents: dict[int, set[int]] = {}
-    for t in kg.known_true:
-        rel_ents.setdefault(t.relation, set()).update((t.head, t.tail))
-    for rel in range(kg.n_relations):
-        touched: set[int] = set()
-        for e in rel_ents.get(rel, ()):
-            touched |= ent_rels[e]
-        touched.discard(rel)
-        counts[rel] = len(touched)
-    return counts
+    one entity with it (over the whole fact set). Uses an R x N float32
+    incidence matrix."""
+    rows = kg.all_rows()
+    touches = np.zeros((kg.n_relations, kg.n_entities), dtype=np.float32)
+    touches[rows[:, 1], rows[:, 0]] = 1.0
+    touches[rows[:, 1], rows[:, 2]] = 1.0
+    shared = (touches @ touches.T) > 0  # exact: a sum of 0/1 products is 0 only if all are
+    np.fill_diagonal(shared, False)
+    return {rel: int(n) for rel, n in enumerate(shared.sum(axis=1))}
 
 
 def histogram(values: Iterable[int], bin_width: int = 10) -> dict[str, int]:

@@ -268,3 +268,72 @@ def oracle_knn(train_X, train_y, test_X, k: int, weighting: str) -> list[int]:
         best = max(votes)
         preds.append(votes.index(best))
     return preds
+
+
+# -- triple store oracle -------------------------------------------------------------
+
+
+class OracleGraph:
+    """Plain-Python model of triple-store ingestion over label triples:
+    first-seen vocabulary lists, per-split lists in insertion order and
+    per-split sets for membership. A ValueError stands for DataError."""
+
+    def __init__(self) -> None:
+        self.entities: list[str] = []
+        self.relations: list[str] = []
+        self.splits: dict[str, list[tuple[str, str, str]]] = {s: [] for s in ("train", "valid", "test")}
+        self.sets: dict[str, set[tuple[str, str, str]]] = {s: set() for s in self.splits}
+
+    def copy(self) -> "OracleGraph":
+        out = OracleGraph()
+        out.entities, out.relations = list(self.entities), list(self.relations)
+        out.splits = {s: list(rows) for s, rows in self.splits.items()}
+        out.sets = {s: set(rows) for s, rows in self.sets.items()}
+        return out
+
+    def add(self, triple: tuple[str, str, str], split: str) -> bool:
+        """True when appended, False for a duplicate within `split`."""
+        h, r, t = triple
+        for label, vocab in ((h, self.entities), (r, self.relations), (t, self.entities)):
+            if label not in vocab:
+                vocab.append(label)
+        for s, members in self.sets.items():
+            if triple in members:
+                if s == split:
+                    return False
+                raise ValueError(f"duplicate triple across splits: {triple}")
+        self.splits[split].append(triple)
+        self.sets[split].add(triple)
+        return True
+
+    def ingest(self, lines: list[str], split: str) -> None:
+        """Line by line; stops at the first malformed line or cross-split duplicate."""
+        for line in lines:
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ValueError(f"malformed triple line: {line!r}")
+            self.add(tuple(parts), split)
+
+    def mark_attribute(self, relation: str) -> None:
+        if relation not in self.relations:
+            self.relations.append(relation)
+
+    def without_relations(self, relations: set[str]) -> "OracleGraph":
+        out = self.copy()
+        for s in out.splits:
+            out.splits[s] = [t for t in out.splits[s] if t[1] not in relations]
+            out.sets[s] = set(out.splits[s])
+        return out
+
+    def known(self) -> set[tuple[str, str, str]]:
+        return set().union(*self.sets.values())
+
+    def adjacent(self, relation: str, anchor: str, side: str) -> list[tuple[str, str]]:
+        """(entity, split) of every triple of `relation` with `anchor` on the
+        other side, in split order and then insertion order."""
+        return [
+            ((t if side == "tail" else h), s)
+            for s, rows in self.splits.items()
+            for h, r, t in rows
+            if r == relation and (h if side == "tail" else t) == anchor
+        ]

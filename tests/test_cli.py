@@ -84,6 +84,49 @@ def _subcommand_argv(command: str, kg_dir: Path, rules: Path, out_dir: Path) -> 
     return [command, "--kg", str(kg_dir), scorer_flag, str(rules), "--out", str(out_dir / "report.json")]
 
 
+class TestInputErrors:
+    """Missing or malformed inputs exit 2 with a message naming them."""
+
+    def test_missing_triple_file(self, tmp_path, capsys):
+        assert main(["ingest", "--train", str(tmp_path / "missing.tsv"), "--out", str(tmp_path / "kg")]) == 2
+        assert "missing.tsv" in capsys.readouterr().err
+
+    def test_triple_file_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.tsv"
+        bad.write_bytes(b"caf\xe9\tr\tb\n")
+        assert main(["ingest", "--train", str(bad), "--out", str(tmp_path / "kg")]) == 2
+        assert "utf-8" in capsys.readouterr().err
+
+    def test_missing_graph_directory(self, small_kg, tmp_path, capsys):
+        _, rules = small_kg
+        argv = ["eval-kbc", "--kg", str(tmp_path / "nowhere"), "--scorer", str(rules), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        assert "nowhere" in capsys.readouterr().err
+
+    def test_missing_config_file(self, small_kg, tmp_path, capsys):
+        kg_dir, _ = small_kg
+        argv = ["analyze", "--config", str(tmp_path / "nope.cfg"), "--kg", str(kg_dir), "--out", str(tmp_path / "p.json")]
+        assert main(argv) == 2
+        assert "nope.cfg" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "entities,message",
+        [
+            ("0\ta\nx\tb\n", "entities.tsv:2: index 'x' is not the integer 1"),
+            ("0\ta\n1\tb\n2\ta\n", "entities.tsv:3: label 'a' repeats line 1"),
+        ],
+        ids=["non-integer-index", "repeated-label"],
+    )
+    def test_malformed_vocabulary(self, tmp_path, capsys, entities, message):
+        train = tmp_path / "train.tsv"
+        train.write_text("a\tr\tb\nb\tr\tc\n", encoding="utf-8")
+        kg_dir = tmp_path / "kg"
+        assert main(["ingest", "--train", str(train), "--out", str(kg_dir)]) == 0
+        (kg_dir / "entities.tsv").write_text(entities, encoding="utf-8")
+        assert main(["analyze", "--kg", str(kg_dir), "--out", str(tmp_path / "p.json")]) == 2
+        assert message in capsys.readouterr().err
+
+
 class TestRemovedOptions:
     @pytest.mark.parametrize(
         "command,flag",

@@ -2,16 +2,20 @@
 
 import logging
 import os
+import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kgbench.cli import main
 from kgbench.errors import DataError
 from kgbench.graphs import connected_components
 from kgbench.kg import (
+    SPLITS,
     HyperFact,
     KnowledgeGraph,
     Reifier,
@@ -25,7 +29,7 @@ from kgbench.kg import (
     save_kg,
 )
 from conftest import random_kg
-from oracles import oracle_components_count
+from oracles import OracleGraph, oracle_components_count
 
 
 class TestIngest:
@@ -71,6 +75,8 @@ class TestIngest:
         assert kg.entities.id("a") == 0
         assert kg.entities.id("b") == 1
         assert kg.relations.id("r1") == 0
+        labels = [(kg.entities.label(h), kg.relations.label(r), kg.entities.label(t)) for h, r, t in kg.triples("train")]
+        assert labels == [("b", "r2", "a"), ("a", "r1", "c")]
 
     def test_known_true_is_union_of_splits(self):
         rng = np.random.default_rng(5)
@@ -89,9 +95,12 @@ class TestIngest:
             assert t.tail in kg.tails_of(t.relation, t.head)
             assert t.head in kg.heads_of(t.relation, t.tail)
             rebuilt.add(t)
-        for (rel, h), tails in kg._tails.items():
-            for t in tails:
-                assert Triple(h, rel, t) in rebuilt
+        for rel in range(kg.n_relations):
+            for e in range(kg.n_entities):
+                for t in kg.tails_of(rel, e):
+                    assert Triple(e, rel, t) in rebuilt
+                for h in kg.heads_of(rel, e):
+                    assert Triple(h, rel, e) in rebuilt
 
     def test_fb15k237_counts_if_available(self):
         root = os.environ.get("KGBENCH_DATA", "")
@@ -286,3 +295,119 @@ class TestSerialization:
         (d / "train.idx").write_bytes(b"XXXX" + b"\x00" * 12)
         with pytest.raises(DataError, match="bad magic"):
             load_kg(d)
+
+    @pytest.mark.parametrize(
+        "files,message",
+        [
+            ({"train": [(0, 0, 1), (1, 0, 2)], "cut": 4}, "truncated split file"),
+            ({"train": [(0, 0, 1), (3, 0, 2)]}, "entity index out of range"),
+            ({"train": [(0, 0, 1), (1, 0, -1)]}, "entity index out of range"),
+            ({"train": [(0, 0, 1), (1, 1, 2)]}, "relation index out of range"),
+            ({"train": [(0, 0, 1)], "test": [(1, 0, 2), (0, 0, 1)]}, "duplicate triple across splits"),
+            ({"train": [(0, 0, 1), (1, 0, 2), (0, 0, 1)]}, "duplicate triple across splits"),
+        ],
+        ids=["truncated", "entity-high", "entity-negative", "relation", "two-files", "one-file"],
+    )
+    def test_corrupt_idx_is_data_error(self, tmp_path, capsys, files, message):
+        # entities a, b, c and one relation r; the .idx files are written by hand
+        d = tmp_path / "kg"
+        save_kg(ingest_triples(["a\tr\tb", "b\tr\tc"], "train"), d)
+        for split in ("train", "valid", "test"):
+            rows = files.get(split, [])
+            data = b"KGB1" + struct.pack("<I", len(rows)) + b"".join(struct.pack("<iii", *t) for t in rows)
+            (d / f"{split}.idx").write_bytes(data[: len(data) - files.get("cut", 0)] if split == "train" else data)
+        with pytest.raises(DataError, match=message):
+            load_kg(d)
+        assert main(["analyze", "--kg", str(d), "--out", str(tmp_path / "profile.json")]) == 2
+        assert message in capsys.readouterr().err
+
+
+# repeated letters weight the draw, so that triples recur within and across splits
+_LABEL_TRIPLE = st.tuples(st.sampled_from("aaabbcd"), st.sampled_from("ppq"), st.sampled_from("aaabbcd"))
+
+
+def _assert_matches_oracle(kg: KnowledgeGraph, oracle: OracleGraph) -> None:
+    assert kg.entities.labels() == oracle.entities
+    assert kg.relations.labels() == oracle.relations
+    ent, rel = kg.entities.label, kg.relations.label
+
+    def labels(t):
+        return ent(t[0]), rel(t[1]), ent(t[2])
+
+    for split in SPLITS:
+        assert [labels(t) for t in kg.triples(split)] == oracle.splits[split]
+        assert kg.rows(split).shape == (len(oracle.splits[split]), 3)
+    known = oracle.known()
+    assert {labels(t) for t in kg.known_true} == known
+    n, r = kg.n_entities, kg.n_relations
+    ids = [(kg.entities.id(h), kg.relations.id(rl), kg.entities.id(t)) for h, rl, t in known]
+    assert kg.known_keys() == {(h * r + rl) * n + t for h, rl, t in ids}
+    for relation in range(r):
+        for anchor in range(n):
+            for side, view in (("tail", kg.tails_of), ("head", kg.heads_of)):
+                expected = oracle.adjacent(rel(relation), ent(anchor), side)
+                entities, split_ids = kg.adjacent(relation, anchor, side)
+                got = [(ent(e), SPLITS[s]) for e, s in zip(entities.tolist(), split_ids.tolist())]
+                assert got == expected
+                assert {ent(e) for e in view(relation, anchor)} == {e for e, _ in expected}
+
+
+def _same_outcome(call, oracle_call):
+    """Run both; the oracle's ValueError must meet the graph's DataError."""
+    try:
+        expected = oracle_call()
+    except ValueError:
+        with pytest.raises(DataError):
+            call()
+        return None, None
+    return expected, call()
+
+
+class TestColumnarStoreOracle:
+    # a clash after a new triple and before new labels: the triple stays, the labels go
+    @example(
+        ops=[("add", "train", ("a", "p", "b")), ("ingest", "test", [("c", "p", "a"), ("a", "p", "b"), ("e", "r", "f")])],
+        extra=[], extra_split="train", dropped=set(),
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("ingest"), st.sampled_from(SPLITS),
+                          st.lists(st.one_of(_LABEL_TRIPLE, st.none()), max_size=6)),
+                st.tuples(st.just("add"), st.sampled_from(SPLITS), _LABEL_TRIPLE),
+                st.tuples(st.just("attribute"), st.sampled_from("ps")),
+            ),
+            max_size=8,
+        ),
+        extra=st.lists(_LABEL_TRIPLE, max_size=4),
+        extra_split=st.sampled_from(SPLITS),
+        dropped=st.sets(st.sampled_from("pqrs")),
+    )
+    def test_matches_set_oracle(self, ops, extra, extra_split, dropped):
+        kg, oracle = KnowledgeGraph(), OracleGraph()
+        for op in ops:
+            if op[0] == "ingest":
+                lines = ["\t".join(t) if t else "broken" for t in op[2]]
+                _same_outcome(lambda: ingest_triples(lines, op[1], kg), lambda: oracle.ingest(lines, op[1]))
+            elif op[0] == "add":
+                appended, added = _same_outcome(lambda: kg.add_triple(*op[2], op[1]), lambda: oracle.add(op[2], op[1]))
+                assert appended is None or appended == (added is not None)
+            else:
+                kg.mark_attribute(op[1])
+                oracle.mark_attribute(op[1])
+            _assert_matches_oracle(kg, oracle)
+
+        with tempfile.TemporaryDirectory() as d:
+            save_kg(kg, Path(d))
+            back = load_kg(Path(d))
+        _assert_matches_oracle(back, oracle)
+        assert back.attribute_relations == kg.attribute_relations
+
+        grown = oracle.copy()
+        _same_outcome(lambda: _assert_matches_oracle(kg.extended(extra, extra_split), grown),
+                      lambda: [grown.add(t, extra_split) for t in extra])
+        _assert_matches_oracle(kg, oracle)
+
+        ids = {kg.relations.id(r) for r in dropped if r in kg.relations}
+        _assert_matches_oracle(kg.copy_without_relations(ids), oracle.without_relations(dropped))
