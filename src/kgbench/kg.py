@@ -118,8 +118,8 @@ class KnowledgeGraph:
     # -- construction -----------------------------------------------------
 
     def add_triple(self, head: str, relation: str, tail: str, split: str) -> Triple | None:
-        """Index labels and append the triple to `split`. Returns the indexed
-        triple, or None for a duplicate within `split` (dropped with a warning)."""
+        """Index labels and append one triple to `split`, copying the split's array (bulk loads
+        go through ingest_triples). Returns the Triple, or None for a duplicate within `split`."""
         appended = self._ingest([(head, relation, tail)], split)
         return Triple(*self.splits[split][-1].tolist()) if appended else None
 
