@@ -416,7 +416,10 @@ def _cmd_analyze(args) -> int:
         out.parent,
         "analyze",
         {"mode": args.mode, "node_guard": args.node_guard},
-        [kg_dir / f for f in ("entities.tsv", "relations.tsv", "train.idx")],
+        [
+            kg_dir / f
+            for f in ("entities.tsv", "relations.tsv", "train.idx", "valid.idx", "test.idx", "attributes.txt")
+        ],
     )
     return 0
 

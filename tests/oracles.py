@@ -2,13 +2,20 @@
 
 These deliberately avoid the library's own code paths: bitmask subset
 enumeration, Floyd-Warshall, pure-Python loops. They are exponential or
-quadratic and only run on small inputs.
+quadratic and only run on small inputs. The per-source distance references
+are the exception: they keep a retired code path, built on the public
+single-source ``bfs_distances``, as the exact reference for its replacement.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import combinations
+
+import numpy as np
+
+from kgbench.errors import DataError
+from kgbench.graphs import bfs_distances
 
 
 def random_connected_graph(rng, n: int, extra_edge_prob: float = 0.25) -> list[set[int]]:
@@ -111,6 +118,40 @@ def oracle_closeness_mean(adj: list[set[int]]) -> float:
     n = len(adj)
     vals = [(n - 1) / math.fsum(row) for row in dist]
     return math.fsum(vals) / n
+
+
+# Per-source references: the formulas the distance metrics used before the
+# multi-source BFS, one bfs_distances call per node. The library's results
+# must equal these exactly, floats included.
+
+
+def reference_ecc_radius_diameter(g) -> tuple[float, int, int]:
+    nodes = g.nodes()
+    if not nodes:
+        raise DataError("eccentricity of an empty graph is undefined")
+    if len(nodes) == 1:
+        return 0.0, 0, 0
+    eccs = []
+    for v in nodes:
+        dist = bfs_distances(g, v)
+        if len(dist) != len(nodes):
+            raise DataError("graph is disconnected; pass a connected component")
+        eccs.append(max(dist.values()))
+    return float(np.mean(eccs)), min(eccs), max(eccs)
+
+
+def reference_closeness_mean(g) -> float:
+    nodes = g.nodes()
+    n = len(nodes)
+    if n <= 1:
+        return 0.0
+    vals = []
+    for v in nodes:
+        dist = bfs_distances(g, v)
+        if len(dist) != n:
+            raise DataError("graph is disconnected; pass a connected component")
+        vals.append((n - 1) / sum(dist.values()))
+    return float(np.mean(vals))
 
 
 def oracle_degree_centrality_mean(adj: list[set[int]]) -> float:

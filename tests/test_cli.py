@@ -430,6 +430,34 @@ class TestManifest:
         m3 = json.loads((kg3 / "manifest.json").read_text())
         assert m1["inputs"] != m3["inputs"]
 
+    def test_analyze_manifest_hashes_every_split_and_attributes(self, tmp_path):
+        paths = {}
+        for name, text in [("train", "a\tr\tb\nb\tr\tc\n"), ("valid", "c\tr\td\n"), ("test", "d\ts\te\n")]:
+            paths[name] = tmp_path / f"{name}.tsv"
+            paths[name].write_text(text, encoding="utf-8")
+        attributes = tmp_path / "attributes.txt"
+        attributes.write_text("s\n", encoding="utf-8")
+
+        def analyze_inputs(test_text: str) -> dict:
+            paths["test"].write_text(test_text, encoding="utf-8")
+            kg_dir = tmp_path / "kg"
+            ingest = ["ingest", "--out", str(kg_dir), "--attributes", str(attributes)]
+            assert main(ingest + [f"--{k}={v}" for k, v in paths.items()]) == 0
+            out = tmp_path / "analyze" / "profile.json"
+            assert main(["analyze", "--kg", str(kg_dir), "--out", str(out)]) == 0
+            inputs = json.loads((out.parent / "manifest.json").read_text())["inputs"]
+            return {Path(p).name: digest for p, digest in inputs.items()}
+
+        before = analyze_inputs("d\ts\te\n")
+        assert sorted(before) == sorted(
+            ["entities.tsv", "relations.tsv", "train.idx", "valid.idx", "test.idx", "attributes.txt"]
+        )
+        after = analyze_inputs("e\ts\td\n")
+        assert after["test.idx"] != before["test.idx"]
+        assert {k: v for k, v in after.items() if k != "test.idx"} == {
+            k: v for k, v in before.items() if k != "test.idx"
+        }
+
     def test_manifest_records_version_and_config(self, tmp_path):
         train = tmp_path / "train.tsv"
         train.write_text("a\tr\tb\n", encoding="utf-8")

@@ -1,13 +1,19 @@
 """Exact graph metrics against fixed values and brute-force oracles."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kgbench import graphs
 from kgbench.errors import DataError
 from kgbench.graphs import (
     UndirectedGraph,
     average_clustering,
     avg_neighbor_degree,
+    bfs_distances,
     cliques,
     closeness_centrality_mean,
     connectivity,
@@ -21,6 +27,7 @@ from kgbench.graphs import (
 from kgbench.kg import KnowledgeGraph, ingest_triples, project_graph
 from conftest import random_kg
 from oracles import (
+    oracle_all_pairs,
     oracle_assortativity,
     oracle_avg_neighbor_degree,
     oracle_cliques,
@@ -31,6 +38,8 @@ from oracles import (
     oracle_edge_connectivity,
     oracle_node_connectivity,
     random_connected_graph,
+    reference_closeness_mean,
+    reference_ecc_radius_diameter,
 )
 
 
@@ -189,6 +198,58 @@ class TestOracleSweep:
             assert (stats.max_size, stats.count) == oracle_cliques(adj)
 
 
+class TestDistanceKernel:
+    """The multi-source BFS against one BFS per source and Floyd-Warshall,
+    on node counts that cross 64-bit word boundaries."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([1, 2, 63, 64, 65, 128, 129]), st.integers(1, 150)),
+        seed=st.integers(0, 2**32 - 1),
+        sparse_ids=st.booleans(),
+        self_loops=st.booleans(),
+        one_word=st.booleans(),
+    )
+    def test_matches_per_source_bfs_and_floyd_warshall(self, n, seed, sparse_ids, self_loops, one_word):
+        rng = np.random.default_rng(seed)
+        adj = random_connected_graph(rng, n, extra_edge_prob=2.0 / n)
+        node = (lambda v: 7 * v + 3) if sparse_ids else (lambda v: v)
+        g = UndirectedGraph()
+        for v in range(n):
+            g.add_node(node(v))
+            for u in adj[v]:
+                g.add_edge(node(v), node(u))
+        if self_loops:
+            for v in rng.choice(n, size=max(1, n // 4), replace=False).tolist():
+                g.add_edge(node(v), node(v))
+        with pytest.MonkeyPatch.context() as mp:
+            if one_word:
+                mp.setattr(graphs, "_BFS_BLOCK_BYTES", 1)
+            ecc, sums = graphs._distance_arrays(g)
+            assert (ecc.dtype, sums.dtype) == (np.int64, np.int64)
+            per_source = [bfs_distances(g, v) for v in g.nodes()]
+            assert ecc.tolist() == [max(d.values()) for d in per_source]
+            assert sums.tolist() == [sum(d.values()) for d in per_source]
+            if n <= 65:  # Floyd-Warshall is cubic; 65 nodes still span two words
+                dist = oracle_all_pairs(adj)
+                assert ecc.tolist() == [max(row) for row in dist]
+                assert sums.tolist() == [sum(row) for row in dist]
+            assert eccentricity_radius_diameter(g) == reference_ecc_radius_diameter(g)
+            assert closeness_centrality_mean(g) == reference_closeness_mean(g)
+
+    @pytest.mark.parametrize("n", [65, 129])
+    @pytest.mark.parametrize("one_word", [False, True])
+    def test_disconnected_part_in_a_later_block_raises(self, monkeypatch, n, one_word):
+        g = _path(n)
+        g.add_node(n + 5)  # an isolated node: its CSR row is empty
+        g.add_edge(n + 10, n + 11)  # the last sources, in a component of their own
+        if one_word:
+            monkeypatch.setattr(graphs, "_BFS_BLOCK_BYTES", 1)
+        for metric in (graphs._distance_arrays, eccentricity_radius_diameter, closeness_centrality_mean):
+            with pytest.raises(DataError, match="disconnected"):
+                metric(g)
+
+
 class TestProfile:
     def test_two_identical_components_zero_std(self):
         kg = ingest_triples(
@@ -242,6 +303,23 @@ class TestProfile:
         per_comp = [average_clustering(c) for c in comps]
         stat = profile.uninformed.properties["average_clustering"]
         assert min(per_comp) - 1e-12 <= stat.mean <= max(per_comp) + 1e-12
+
+
+    def test_profile_json_equals_per_source_reference(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        kg = random_kg(rng, 200, 4, 230, "train")
+        random_kg(rng, 200, 4, 20, "valid", kg)
+        random_kg(rng, 200, 4, 20, "test", kg)
+        for h, t in [("z0", "z1"), ("z1", "z2"), ("z2", "z0"), ("z3", "z4")]:
+            kg.add_triple(h, "r0", t, "train")
+        kg.mark_attribute("r1")
+        for mode in ("uninformed", "informed"):
+            sizes = [c.n_nodes for c in graphs.connected_components(project_graph(kg, mode))]
+            assert len(sizes) >= 2 and max(sizes) > 64, mode
+        fast = json.dumps(profile_kg(kg).to_dict(), sort_keys=True)
+        monkeypatch.setattr(graphs, "eccentricity_radius_diameter", reference_ecc_radius_diameter)
+        monkeypatch.setattr(graphs, "closeness_centrality_mean", reference_closeness_mean)
+        assert json.dumps(profile_kg(kg).to_dict(), sort_keys=True) == fast
 
 
 class TestMetaProperties:
