@@ -22,6 +22,9 @@ from pathlib import Path
 from . import __version__
 from .errors import DataError, NumericError, UsageError
 
+# the files of a saved graph that every split-reading stage hashes into its manifest
+GRAPH_FILES = ("entities.tsv", "relations.tsv", "train.idx", "valid.idx", "test.idx")
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
@@ -286,7 +289,7 @@ def _cmd_train(args) -> int:
         + "\n",
         encoding="utf-8",
     )
-    write_manifest(out, "train", vars(cfg), [kg_dir / f for f in ("entities.tsv", "relations.tsv", "train.idx")])
+    write_manifest(out, "train", vars(cfg), [kg_dir / f for f in GRAPH_FILES])
     last = result.epoch_losses[-1] if result.epoch_losses else float("nan")
     print(f"trained {cfg.model} dim={cfg.dim} for {cfg.epochs} epochs; final loss {last:.6f}")
     return 0
@@ -322,7 +325,7 @@ def _cmd_mine_rules(args) -> int:
             "min_confidence": args.min_confidence,
             "target": args.target or "*",
         },
-        [kg_dir / "train.idx"],
+        [kg_dir / f for f in GRAPH_FILES],
     )
     print(f"mined {n_rules} rules over {len(theories)} theories -> {out}")
     return 0
@@ -339,12 +342,14 @@ def _write_rule_analytics(kg, theories: dict, rules_path: Path) -> None:
         payload.update(
             relations_per_theory_histogram={str(k): v for k, v in analytics.relations_histogram.items()},
             coverage_bins=analytics.coverage_bins,
-            precision_vs_coverage=[[c, v] for c, v in analytics.precision_vs_coverage],
-            train_confidence_vs_coverage=[[c, v] for c, v in analytics.train_confidence_vs_coverage],
+            precision_vs_coverage=analytics.precision_vs_coverage,  # (confidence, coverage) tuples are JSON arrays
+            train_confidence_vs_coverage=analytics.train_confidence_vs_coverage,
             empty_theories=analytics.empty_theories,
         )
-    out = rules_path.with_name(rules_path.stem + "_analytics.json")
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    # streamed: with millions of rules the scatter lists make a JSON text of hundreds of MB
+    with rules_path.with_name(rules_path.stem + "_analytics.json").open("w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _sniff_scorer(path: Path, kg, score_known_train: bool):
@@ -397,14 +402,14 @@ def _cmd_eval_kbc(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from .graphs import profile_kg
+    from .graphs import meta_properties, profile_graph
+    from .kg import project_graph
     from .report import render_profile_table
 
     kg_dir, kg = _load_graph(args)
-    profile = profile_kg(kg, node_guard=args.node_guard)
-    full = profile.to_dict()
-    if args.mode != "both":
-        full = {args.mode: full[args.mode], "meta": full["meta"]}
+    modes = ("uninformed", "informed") if args.mode == "both" else (args.mode,)
+    full = {mode: profile_graph(project_graph(kg, mode), mode, args.node_guard).to_dict() for mode in modes}
+    full["meta"] = meta_properties(kg).to_dict()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(full, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -416,10 +421,7 @@ def _cmd_analyze(args) -> int:
         out.parent,
         "analyze",
         {"mode": args.mode, "node_guard": args.node_guard},
-        [
-            kg_dir / f
-            for f in ("entities.tsv", "relations.tsv", "train.idx", "valid.idx", "test.idx", "attributes.txt")
-        ],
+        [kg_dir / f for f in (*GRAPH_FILES, "attributes.txt")],
     )
     return 0
 

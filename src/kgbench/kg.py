@@ -78,25 +78,37 @@ class Vocab:
 
 
 class Adjacency:
-    """CSR index of (M, 3) (head, relation, tail) rows for one side:
-    (relation, anchor) -> the entities on `side` ("tail": the anchor is the
-    head), in row order, each with its entry of `tags`."""
+    """CSR index of (M, 3) (head, relation, tail) rows by anchor entity and
+    step, each entry with its entry of `tags`. Step 2r from anchor a reaches
+    the tails of the rows (a, r, t); step 2r + 1 reaches the heads of the
+    rows (h, r, a). Entries are sorted by anchor then step, each step's
+    entries in row order."""
 
-    def __init__(self, rows: np.ndarray, n_entities: int, side: str, tags: np.ndarray) -> None:
-        anchor, other = (0, 2) if side == "tail" else (2, 0)
-        group = rows[:, 1] * n_entities + rows[:, anchor]
-        order = np.argsort(group, kind="stable")
-        group = group[order]
-        starts = np.flatnonzero(np.diff(group, prepend=-1))  # group keys are >= 0
-        self.n_entities, self.groups, self.offsets = n_entities, group[starts], np.append(starts, len(group))
-        self.entities, self.tags = rows[order, other], tags[order]
+    def __init__(self, rows: np.ndarray, tags: np.ndarray) -> None:
+        self.n_steps = 2 * (int(rows[:, 1].max()) + 1) if len(rows) else 0
+        key = np.concatenate([rows[:, 0] * self.n_steps + 2 * rows[:, 1], rows[:, 2] * self.n_steps + 2 * rows[:, 1] + 1])
+        order = np.argsort(key, kind="stable")
+        self.keys, self.entities = key[order], np.concatenate([rows[:, 2], rows[:, 0]])[order]
+        self.tags = np.concatenate([tags, tags])[order]
 
-    def __call__(self, relation: int, anchor: int) -> tuple[np.ndarray, np.ndarray]:
-        key = relation * self.n_entities + anchor
-        i = int(np.searchsorted(self.groups, key))
-        found = 0 <= anchor < self.n_entities and i < len(self.groups) and self.groups[i] == key
-        lo, hi = (self.offsets[i], self.offsets[i + 1]) if found else (0, 0)
+    def __call__(self, relation: int, anchor: int, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """The entities on `side` of the rows of `relation` with `anchor` on the other side, and their tags."""
+        key = anchor * self.n_steps + 2 * relation + (side == "head")
+        lo, hi = np.searchsorted(self.keys, (key, key + 1)) if 0 <= 2 * relation < self.n_steps else (0, 0)
         return self.entities[lo:hi], self.tags[lo:hi]
+
+    def gather(self, anchors: np.ndarray, steps: np.ndarray | None = None):
+        """The entries of every anchors[k] (of step steps[k] only, when given),
+        concatenated in k order: each entry's k, step, entity and tag. An
+        anchor or step out of range has no entries: the keys of a step in
+        range lie between those of the anchors before and after."""
+        first = anchors * self.n_steps + (0 if steps is None else steps)
+        lo = np.searchsorted(self.keys, first)
+        counts = np.searchsorted(self.keys, first + (self.n_steps if steps is None else 1)) - lo
+        if steps is not None:
+            counts[(steps < 0) | (steps >= self.n_steps)] = 0  # the key of another anchor's step
+        pos = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        return np.repeat(np.arange(len(anchors)), counts), self.keys[pos] % self.n_steps, self.entities[pos], self.tags[pos]
 
 
 class KnowledgeGraph:
@@ -105,8 +117,8 @@ class KnowledgeGraph:
     on change, never changed in place. Splits are pairwise disjoint;
     duplicates within a split are dropped with a warning, duplicates across
     splits are an error. Derived on first use, rebuilt after any change: an
-    :class:`Adjacency` per side tagged with each entry's index in SPLITS,
-    and the set of triple keys (head * R + relation) * N + tail."""
+    :class:`Adjacency` of every split, tagged with each entry's index in
+    SPLITS, and the set of triple keys (head * R + relation) * N + tail."""
 
     def __init__(self) -> None:
         self.entities = Vocab()
@@ -191,7 +203,17 @@ class KnowledgeGraph:
         """The entities e with (anchor, relation, e) known true (side "tail")
         or (e, relation, anchor) known true (side "head"), in split then
         insertion order, and for each the index in SPLITS of its split."""
-        return self._derived("csr", self._build_csr)[side](relation, anchor)
+        return self._derived("csr", self._build_csr)(relation, anchor, side)
+
+    def adjacent_many(self, anchors, steps=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The many-anchor form of adjacent, by step: step 2 * relation is its
+        side "tail", step 2 * relation + 1 its side "head". For each anchors[k],
+        the entities of step steps[k], or of every step in step order when
+        `steps` is None, concatenated in k order: (k, step, entity, index in
+        SPLITS) per entity."""
+        anchors = np.asarray(anchors, dtype=np.int64)
+        steps = None if steps is None else np.asarray(steps, dtype=np.int64)
+        return self._derived("csr", self._build_csr).gather(anchors, steps)
 
     def tails_of(self, relation: int, head: int) -> set[int]:
         """All tails t with (head, relation, t) in any split."""
@@ -213,9 +235,9 @@ class KnowledgeGraph:
             self._cache[name] = (shape, build())
         return self._cache[name][1]
 
-    def _build_csr(self) -> dict[str, Adjacency]:
+    def _build_csr(self) -> Adjacency:
         split_ids = np.repeat(np.arange(len(SPLITS), dtype=np.int8), [len(self.splits[s]) for s in SPLITS])
-        return {side: Adjacency(self.all_rows(), self.n_entities, side, split_ids) for side in ("tail", "head")}
+        return Adjacency(self.all_rows(), split_ids)
 
     def _copy_vocab(self) -> "KnowledgeGraph":
         out = KnowledgeGraph()

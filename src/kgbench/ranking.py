@@ -87,19 +87,19 @@ class MembershipScorer:
         self.true = set(true_triples)
         self.n_entities = n_entities
         rows = np.array(list(self.true), dtype=np.int64).reshape(-1, 3)
-        self._index = {side: Adjacency(rows, n_entities, side, np.zeros(len(rows), dtype=np.int8)) for side in SIDES}
+        self._index = Adjacency(rows, np.zeros(len(rows), dtype=np.int8))
 
     def score(self, relation: int, head: int, tail: int) -> float:
         return 1.0 if Triple(head, relation, tail) in self.true else 0.0
 
     def score_tails(self, relation: int, head: int) -> np.ndarray:
         out = np.zeros(self.n_entities)
-        out[self._index["tail"](relation, head)[0]] = 1.0
+        out[self._index(relation, head, "tail")[0]] = 1.0
         return out
 
     def score_heads(self, relation: int, tail: int) -> np.ndarray:
         out = np.zeros(self.n_entities)
-        out[self._index["head"](relation, tail)[0]] = 1.0
+        out[self._index(relation, tail, "head")[0]] = 1.0
         return out
 
 

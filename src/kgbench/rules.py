@@ -8,14 +8,15 @@ rk(Zk-1,Y)` where each body relation may be used forward or inverted (the
 distinct (X,Y) pairs its body derives from the train split; its confidence
 is the fraction of those predictions present in the fact set. Confidence
 bookkeeping stays in exact integer counts and is rendered as a float only
-on output.
+on output. Mining and rule application read the graph's CSR index
+(`KnowledgeGraph.adjacent_many`), keeping only its train entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .kg import SPLITS, KnowledgeGraph
 INV_PREFIX = "inv_"
 _TRAIN = SPLITS.index("train")
 COVERAGE_TERMINAL_BIN = 400
+_JOIN_ENTRIES = 1 << 22  # most train entries one chunk of a mining join gathers, unless one X has more
 
 
 def is_variable(arg: str) -> bool:
@@ -41,7 +43,7 @@ class Atom:
         return f"{self.relation}({','.join(self.args)})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # slots: --all-targets on an FB15k-237-sized graph keeps millions
 class HornRule:
     """head <- body with exact prediction counts.
 
@@ -138,32 +140,113 @@ def chain_to_atoms(chain: Sequence[tuple[int, bool]], kg: KnowledgeGraph) -> tup
     return tuple(atoms)
 
 
-def _adjacency(kg: KnowledgeGraph, split: str = "train"):
-    fwd: dict[int, dict[int, set[int]]] = {}
-    bwd: dict[int, dict[int, set[int]]] = {}
-    for h, r, t in kg.rows(split).tolist():
-        fwd.setdefault(r, {}).setdefault(h, set()).add(t)
-        bwd.setdefault(r, {}).setdefault(t, set()).add(h)
-    return fwd, bwd
+def _rule_order(rule: HornRule) -> tuple:
+    return (-rule.confidence, -rule.coverage, tuple(a.relation for a in rule.body))
 
 
-def _pairs(rows: np.ndarray, relation: int) -> set[tuple[int, int]]:
-    """The (head, tail) pairs of `relation` among `rows`."""
-    rows = rows[rows[:, 1] == relation]
-    return set(zip(rows[:, 0].tolist(), rows[:, 2].tolist()))
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of `keys`: np.unique's result, from one sort
+    (np.unique took 60 times as long on 4M int64 keys with numpy 2.4)."""
+    keys = np.sort(keys)
+    return keys[np.diff(keys, prepend=-1) != 0]  # keys >= 0
 
 
-def _compose(reach: dict[int, set[int]], step: dict[int, set[int]]) -> dict[int, set[int]]:
-    out: dict[int, set[int]] = {}
-    for x, mids in reach.items():
-        acc: set[int] = set()
-        for z in mids:
-            nxt = step.get(z)
-            if nxt:
-                acc |= nxt
-        if acc:
-            out[x] = acc
-    return out
+def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The positions in the ranges [starts[i], starts[i] + counts[i]), concatenated."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+
+
+def _chunks(x: np.ndarray, gathered: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Slices [lo, hi) of whole runs of equal X in the sorted `x` whose
+    `gathered` entries add up to at most _JOIN_ENTRIES (or to one run)."""
+    run_ends = np.flatnonzero(np.diff(x, append=-1)) + 1  # x >= 0
+    upto = np.cumsum(gathered)[run_ends - 1]
+    lo, runs, done = 0, 0, 0
+    while lo < len(x):
+        runs = max(int(np.searchsorted(upto, done + _JOIN_ENTRIES, side="right")), runs + 1)
+        hi, done = int(run_ends[runs - 1]), int(upto[runs - 1])
+        yield lo, hi
+        lo = hi
+
+
+def _mine(
+    kg: KnowledgeGraph,
+    targets: Iterable[int],
+    max_body_len: int,
+    min_coverage: int,
+    min_confidence: float,
+    allow_recursion: bool,
+) -> dict[int, RuleTheory]:
+    """One theory per target (see mine_rules) from one enumeration of the
+    closed chain bodies. A body's distinct (X, Y) pairs are sorted keys
+    X * N + Y; one join through the graph's train entries extends a body by
+    every step (2 * relation + inverted) at once, and counts the extensions'
+    pairs against the known-true pairs of every target."""
+    theories: dict[int, RuleTheory] = {}
+    for target in targets:
+        if not 0 <= target < kg.n_relations:
+            raise DataError(f"unknown relation id: {target}")
+        theories[int(target)] = RuleTheory(target=int(target), target_label=kg.relations.label(target))
+    if not 1 <= max_body_len <= 3:
+        raise DataError("max_body_len must be in [1, 3]")
+    n, n_rel = kg.n_entities, kg.n_relations
+    span = n * n  # a join's keys are step * N^2 + X * N + Y
+    if 2 * n_rel * span >= 2**63:
+        raise DataError(f"{n} entities and {n_rel} relations overflow 64-bit rule mining keys")
+    # the targets' known-true pairs, sorted, each with its relation and whether it is a train triple
+    rows = kg.all_rows()
+    of_target = np.isin(rows[:, 1], list(theories))
+    order = np.argsort(rows[of_target, 0] * n + rows[of_target, 2], kind="stable")
+    facts = rows[of_target][order]
+    fact_keys = np.append(facts[:, 0] * n + facts[:, 2], np.iinfo(np.int64).max)  # sentinel above every pair
+    fact_cells = 2 * facts[:, 1] + (np.arange(len(rows)) < len(kg.rows("train")))[of_target][order]
+    heads = {target: Atom(theory.target_label, ("X", "Y")) for target, theory in theories.items()}
+
+    def visit(chain: tuple[tuple[int, bool], ...], pairs: np.ndarray) -> None:
+        """Join the body `chain`, with pair keys `pairs`, to every step; emit
+        and visit each extension in step order, so that bodies are met in
+        lexicographic order, a body before its extensions."""
+        x, z = np.divmod(pairs, n)
+        anchors, back = np.unique(z, return_inverse=True)
+        src, steps, ends, split_ids = kg.adjacent_many(anchors)
+        train = split_ids == _TRAIN
+        steps, ends, counts = steps[train], ends[train], np.bincount(src[train], minlength=len(anchors))
+        gathered, starts = counts[back], (np.cumsum(counts) - counts)[back]
+        # per step: distinct pairs, and per (relation, is a train triple) the pairs that are known true
+        totals, cells = np.zeros(2 * n_rel, dtype=np.int64), np.zeros(4 * n_rel * n_rel, dtype=np.int64)
+        joined = []  # the join's sorted keys, when the extensions are extended in turn
+        for lo, hi in _chunks(x, gathered):
+            pos = _spans(starts[lo:hi], gathered[lo:hi])
+            keys = _distinct(steps[pos] * span + np.repeat(x[lo:hi], gathered[lo:hi]) * n + ends[pos])
+            key_steps, pair = np.divmod(keys, span)
+            totals += np.bincount(key_steps, minlength=2 * n_rel)
+            first = np.searchsorted(fact_keys, pair)
+            hit = np.flatnonzero(fact_keys[first] == pair)
+            matches = np.searchsorted(fact_keys, pair[hit], side="right") - first[hit]
+            cell = np.repeat(key_steps[hit], matches) * 2 * n_rel + fact_cells[_spans(first[hit], matches)]
+            cells += np.bincount(cell, minlength=len(cells))
+            if len(chain) + 1 < max_body_len:
+                joined.append(keys)
+        cells = cells.reshape(2 * n_rel, n_rel, 2)
+        for step in np.flatnonzero(totals).tolist():
+            body, total = chain + ((step // 2, bool(step % 2)),), int(totals[step])
+            correct, train_correct, atoms = cells[step].sum(axis=1), cells[step, :, 1], None
+            for target in np.flatnonzero(correct).tolist() if total >= min_coverage else ():
+                if body == ((target, False),) or not (allow_recursion or all(r != target for r, _ in body)):
+                    continue  # the tautology, or a recursive body
+                if correct[target] / total < min_confidence:
+                    continue
+                atoms = atoms or chain_to_atoms(body, kg)
+                rule = HornRule(heads[target], atoms, int(correct[target]), total, int(train_correct[target]), body)
+                theories[target].rules.append(rule)
+            if joined:
+                lo, hi = step * span, (step + 1) * span
+                visit(body, np.concatenate([k[np.searchsorted(k, lo) : np.searchsorted(k, hi)] for k in joined]) - lo)
+
+    visit((), np.arange(n, dtype=np.int64) * (n + 1))  # the empty body holds the pairs (X, X)
+    for theory in theories.values():
+        theory.rules.sort(key=_rule_order)
+    return theories
 
 
 def mine_rules(
@@ -186,65 +269,7 @@ def mine_rules(
     and the theory is sorted by confidence then coverage then body
     (descending, descending, lexicographic).
     """
-    if not 0 <= target < kg.n_relations:
-        raise DataError(f"unknown relation id: {target}")
-    if not 1 <= max_body_len <= 3:
-        raise DataError("max_body_len must be in [1, 3]")
-    fwd, bwd = _adjacency(kg)
-    target_label = kg.relations.label(target)
-    true_pairs = _pairs(kg.all_rows(), target)
-    train_pairs = _pairs(kg.rows("train"), target)
-    head_atom = Atom(target_label, ("X", "Y"))
-    relations = [r for r in sorted(set(fwd) | set(bwd)) if allow_recursion or r != target]
-    rules: list[HornRule] = []
-
-    def emit(chain: tuple[tuple[int, bool], ...], reach: dict[int, set[int]]) -> None:
-        if chain == ((target, False),):
-            return  # tautological body
-        total = sum(len(ys) for ys in reach.values())
-        if total < min_coverage:
-            return
-        correct = train_correct = 0
-        for x, ys in reach.items():
-            for y in ys:
-                if (x, y) in true_pairs:  # train_pairs is a subset of true_pairs
-                    correct += 1
-                    train_correct += (x, y) in train_pairs
-        if correct == 0:
-            return  # never predicts the target: contributes nothing to scoring
-        if correct / total < min_confidence:
-            return
-        rule = HornRule(
-            head=head_atom,
-            body=chain_to_atoms(chain, kg),
-            correct=correct,
-            total=total,
-            train_correct=train_correct,
-            chain=chain,
-        )
-        keep, _reason = filter_degenerate(rule)
-        if keep:
-            rules.append(rule)
-
-    def expand(chain: tuple[tuple[int, bool], ...], reach: dict[int, set[int]]) -> None:
-        emit(chain, reach)
-        if len(chain) >= max_body_len:
-            return
-        for rel in relations:
-            for inv in (False, True):
-                step = bwd.get(rel, {}) if inv else fwd.get(rel, {})
-                nxt = _compose(reach, step)
-                if nxt:
-                    expand(chain + ((rel, inv),), nxt)
-
-    for rel in relations:
-        for inv in (False, True):
-            start = bwd.get(rel, {}) if inv else fwd.get(rel, {})
-            if start:
-                expand(((rel, inv),), {x: set(ys) for x, ys in start.items()})
-
-    rules.sort(key=lambda r: (-r.confidence, -r.coverage, tuple(a.relation for a in r.body)))
-    return RuleTheory(target=target, target_label=target_label, rules=rules)
+    return _mine(kg, [target], max_body_len, min_coverage, min_confidence, allow_recursion)[target]
 
 
 def mine_all(
@@ -254,10 +279,9 @@ def mine_all(
     min_coverage: int = 1,
     min_confidence: float = 0.0,
 ) -> dict[int, RuleTheory]:
-    """Mine one theory per target relation, in target order."""
-    if targets is None:
-        targets = range(kg.n_relations)
-    return {t: mine_rules(kg, t, max_body_len, min_coverage, min_confidence) for t in targets}
+    """Mine one theory per target relation, in target order, from one shared enumeration."""
+    targets = range(kg.n_relations) if targets is None else targets
+    return _mine(kg, targets, max_body_len, min_coverage, min_confidence, allow_recursion=False)
 
 
 # -- rule application --------------------------------------------------------------
@@ -266,7 +290,10 @@ def mine_all(
 class RuleScorer:
     """psi(r,h,t) = max confidence over rules of r's theory whose body links
     h to t in the train triples; 0 when no rule fires. Optionally scores
-    known train triples 1.0."""
+    known train triples 1.0.
+
+    A query walks every rule of the theory at once: a frontier of (rule,
+    entity) rows, joined to one body atom at a time and then deduplicated."""
 
     def __init__(
         self,
@@ -278,57 +305,41 @@ class RuleScorer:
         self.kg = kg
         self.n_entities = kg.n_entities
         self.score_known_train = score_known_train
-        self._fwd, self._bwd = _adjacency(kg)
-
-    def _walk(self, start: int, chain: Sequence[tuple[int, bool]]) -> set[int]:
-        cur = {start}
-        for rel, inv in chain:
-            step = self._bwd.get(rel, {}) if inv else self._fwd.get(rel, {})
-            nxt: set[int] = set()
-            for z in cur:
-                s = step.get(z)
-                if s:
-                    nxt |= s
-            if not nxt:
-                return set()
-            cur = nxt
-        return cur
-
-    @staticmethod
-    def _reverse(chain: Sequence[tuple[int, bool]]) -> tuple[tuple[int, bool], ...]:
-        return tuple((rel, not inv) for rel, inv in reversed(chain))
-
-    def _known_train(self, relation: int, anchor: int, side: str) -> np.ndarray:
-        entities, split_ids = self.kg.adjacent(relation, anchor, side)
-        return entities[split_ids == _TRAIN]
+        # relation -> (confidences, the number of rules with a step p for each p, {backward: (K, L) steps})
+        # of the rules that can fire, longest body first; steps are padded past each body's end
+        self._walks: dict[int, tuple[np.ndarray, list[int], dict[bool, np.ndarray]]] = {}
+        for relation, theory in theories.items():
+            fire = [r for r in theory.rules if r.chain is not None and r.confidence > 0.0]
+            fire.sort(key=lambda r: -len(r.chain))
+            if fire:
+                forward = [[2 * rel + inv for rel, inv in rule.chain] for rule in fire]
+                backward = [[step ^ 1 for step in reversed(c)] for c in forward]  # reversed, each step inverted
+                depth = len(forward[0])
+                steps = {b: np.array([c + [0] * (depth - len(c)) for c in chains], dtype=np.int64)
+                         for b, chains in ((False, forward), (True, backward))}
+                live = [sum(len(c) > p for c in forward) for p in range(depth)]
+                self._walks[relation] = (np.array([r.confidence for r in fire]), live, steps)
 
     def score(self, relation: int, head: int, tail: int) -> float:
-        if self.score_known_train and tail in self._known_train(relation, head, "tail"):
-            return 1.0
-        theory = self.theories.get(relation)
-        if theory is None:
-            return 0.0
-        for rule in theory.rules:  # confidence-descending
-            if rule.chain is None:
-                continue
-            if tail in self._walk(head, rule.chain):
-                return rule.confidence
-        return 0.0
+        return float(self.score_tails(relation, head)[tail])
 
     def _score_side(self, relation: int, anchor: int, backward: bool) -> np.ndarray:
-        out = np.zeros(self.n_entities, dtype=np.float64)
+        n = self.n_entities
+        out = np.zeros(n, dtype=np.float64)
         if self.score_known_train:
-            out[self._known_train(relation, anchor, "head" if backward else "tail")] = 1.0
-        theory = self.theories.get(relation)
-        if theory is None:
+            entities, split_ids = self.kg.adjacent(relation, anchor, "head" if backward else "tail")
+            out[entities[split_ids == _TRAIN]] = 1.0
+        if relation not in self._walks:
             return out
-        for rule in theory.rules:
-            if rule.chain is None or rule.confidence <= 0.0:
-                continue
-            chain = self._reverse(rule.chain) if backward else rule.chain
-            for e in self._walk(anchor, chain):
-                if out[e] < rule.confidence:
-                    out[e] = rule.confidence
+        conf, live, steps = self._walks[relation]
+        rule, ent = np.arange(len(conf)), np.full(len(conf), anchor, dtype=np.int64)
+        for p, n_live in enumerate(live):  # rows stay sorted by rule, so the rows of finished rules come last
+            cut = int(np.searchsorted(rule, n_live))
+            np.maximum.at(out, ent[cut:], conf[rule[cut:]])
+            src, _, ends, split_ids = self.kg.adjacent_many(ent[:cut], steps[backward][rule[:cut], p])
+            train = split_ids == _TRAIN
+            rule, ent = np.divmod(_distinct(rule[src[train]] * n + ends[train]), n)
+        np.maximum.at(out, ent, conf[rule])
         return out
 
     def score_tails(self, relation: int, head: int):
@@ -532,5 +543,5 @@ def load_theories(path: Path, kg: KnowledgeGraph) -> dict[int, RuleTheory]:
             th = theories.setdefault(target, RuleTheory(target=target, target_label=rule.head.relation))
             th.rules.append(rule)
     for th in theories.values():
-        th.rules.sort(key=lambda r: (-r.confidence, -r.coverage, tuple(a.relation for a in r.body)))
+        th.rules.sort(key=_rule_order)
     return theories

@@ -2,10 +2,18 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kgbench.kg import KnowledgeGraph
+
+# HYPOTHESIS_PROFILE=ci: the same examples on every run, and a failing one
+# printed as a blob that @reproduce_failure replays
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 ACCEPTANCE_LINES: list[str] = []
 

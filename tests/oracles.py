@@ -10,7 +10,7 @@ single-source ``bfs_distances``, as the exact reference for its replacement.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -378,3 +378,79 @@ class OracleGraph:
             for h, r, t in rows
             if r == relation and (h if side == "tail" else t) == anchor
         ]
+
+
+# -- rule mining and scoring oracles ----------------------------------------------
+
+
+def _oracle_train_steps(kg) -> dict[tuple[int, bool], dict[int, set[int]]]:
+    """(relation, inverted) -> entity -> the entities one train triple away."""
+    steps: dict[tuple[int, bool], dict[int, set[int]]] = {}
+    for h, r, t in kg.rows("train").tolist():
+        steps.setdefault((r, False), {}).setdefault(h, set()).add(t)
+        steps.setdefault((r, True), {}).setdefault(t, set()).add(h)
+    return steps
+
+
+def _oracle_chain_pairs(steps, chain, n_entities: int) -> set[tuple[int, int]]:
+    """Every (X, Y) linked by the chain, walked from every entity X."""
+    pairs = set()
+    for x in range(n_entities):
+        cur = {x}
+        for step in chain:
+            cur = {e for z in cur for e in steps.get(step, {}).get(z, ())}
+        pairs |= {(x, y) for y in cur}
+    return pairs
+
+
+def oracle_mine_rules(
+    kg, target: int, max_body_len: int, min_coverage: int = 1, min_confidence: float = 0.0, allow_recursion=False
+) -> list[tuple[str, int, int, int]]:
+    """(rule text, correct, total, train_correct) per rule, in theory order:
+    every chain of at most `max_body_len` (relation, inverted) steps over
+    every relation, in lexicographic order, each walked from every entity,
+    then the documented filters and a stable sort by confidence, coverage
+    and body relation names."""
+    steps = _oracle_train_steps(kg)
+    known = {(h, t) for s in ("train", "valid", "test") for h, r, t in kg.rows(s).tolist() if r == target}
+    train = {(h, t) for h, r, t in kg.rows("train").tolist() if r == target}
+    step_list = [(r, inv) for r in range(kg.n_relations) for inv in (False, True)]
+    chains = sorted(c for k in range(1, max_body_len + 1) for c in product(step_list, repeat=k))
+    found = []
+    for chain in chains:
+        if chain == ((target, False),) or not allow_recursion and any(r == target for r, _ in chain):
+            continue
+        pairs = _oracle_chain_pairs(steps, chain, kg.n_entities)
+        total, correct, train_correct = len(pairs), len(pairs & known), len(pairs & train)
+        if total < min_coverage or correct == 0 or correct / total < min_confidence:
+            continue
+        names = [("inv_" if inv else "") + kg.relations.label(r) for r, inv in chain]
+        args = ["X"] + [f"Z{i}" for i in range(1, len(chain))] + ["Y"]
+        body = ", ".join(f"{name}({args[i]},{args[i + 1]})" for i, name in enumerate(names))
+        text = f"{kg.relations.label(target)}(X,Y) :- {body}."
+        found.append(((-(correct / total), -total, tuple(names)), (text, correct, total, train_correct)))
+    found.sort(key=lambda item: item[0])
+    return [rule for _, rule in found]
+
+
+def oracle_rule_scores(kg, theories, relation: int, anchor: int, side: str, score_known_train: bool) -> list[float]:
+    """Per entity e, the max confidence of a rule of `relation`'s theory whose
+    body links (anchor, e) (side "tail") or (e, anchor) (side "head") over
+    train triples, 1.0 for a known train triple when `score_known_train`,
+    else 0.0."""
+    steps = _oracle_train_steps(kg)
+    out = [0.0] * kg.n_entities
+    theory = theories.get(relation)
+    for rule in theory.rules if theory is not None else []:
+        if rule.chain is None:
+            continue
+        for x, y in _oracle_chain_pairs(steps, rule.chain, kg.n_entities):
+            a, e = (x, y) if side == "tail" else (y, x)
+            if a == anchor:
+                out[e] = max(out[e], rule.confidence)
+    if score_known_train:
+        for h, r, t in kg.rows("train").tolist():
+            a, e = (h, t) if side == "tail" else (t, h)
+            if r == relation and a == anchor:
+                out[e] = 1.0
+    return out

@@ -458,6 +458,38 @@ class TestManifest:
             k: v for k, v in before.items() if k != "test.idx"
         }
 
+    @staticmethod
+    def _stage_inputs(tmp_path: Path, stage_argv, test_text: str) -> dict:
+        """Input digests by file name of a stage run on a three-split graph whose test split is `test_text`."""
+        paths = {}
+        for name, text in [("train", "a\tr\tb\nb\tr\tc\n"), ("valid", "c\tr\td\n"), ("test", test_text)]:
+            paths[name] = tmp_path / f"{name}.tsv"
+            paths[name].write_text(text, encoding="utf-8")
+        kg_dir, out = tmp_path / "kg", tmp_path / "stage"
+        assert main(["ingest", "--out", str(kg_dir)] + [f"--{k}={v}" for k, v in paths.items()]) == 0
+        assert main(stage_argv(kg_dir, out)) == 0
+        inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+        return {Path(p).name: digest for p, digest in inputs.items()}
+
+    @pytest.mark.parametrize(
+        "stage_argv",
+        [
+            lambda kg, out: ["mine-rules", "--kg", str(kg), "--all-targets", "--max-body", "1",
+                             "--out", str(out / "rules.txt")],
+            lambda kg, out: ["train", "--kg", str(kg), "--dim", "2", "--epochs", "1", "--checkpoint-every", "1",
+                             "--out", str(out)],
+        ],
+        ids=["mine-rules", "train"],
+    )
+    def test_stage_manifest_hashes_every_split_and_vocabulary(self, tmp_path, stage_argv):
+        before = self._stage_inputs(tmp_path, stage_argv, "d\ts\te\n")
+        assert sorted(before) == sorted(["entities.tsv", "relations.tsv", "train.idx", "valid.idx", "test.idx"])
+        after = self._stage_inputs(tmp_path, stage_argv, "e\ts\td\n")
+        assert after["test.idx"] != before["test.idx"]
+        assert {k: v for k, v in after.items() if k != "test.idx"} == {
+            k: v for k, v in before.items() if k != "test.idx"
+        }
+
     def test_manifest_records_version_and_config(self, tmp_path):
         train = tmp_path / "train.tsv"
         train.write_text("a\tr\tb\n", encoding="utf-8")
@@ -468,6 +500,42 @@ class TestManifest:
 
         assert manifest["version"] == __version__
         assert manifest["command"] == "ingest"
+
+
+class TestAnalyzeModes:
+    @pytest.fixture
+    def kg_dir(self, tmp_path):
+        train = tmp_path / "train.tsv"
+        train.write_text("a\tr\tb\nb\tr\tc\nc\tr\ta\na\tcolour\tred\nd\tr\ta\n", encoding="utf-8")
+        attributes = tmp_path / "attributes.txt"
+        attributes.write_text("colour\n", encoding="utf-8")
+        kg_dir = tmp_path / "kg"
+        assert main(["ingest", "--train", str(train), "--attributes", str(attributes), "--out", str(kg_dir)]) == 0
+        return kg_dir
+
+    def test_one_mode_is_its_block_of_both(self, kg_dir, tmp_path):
+        profiles = {}
+        for mode in ("both", "uninformed", "informed"):
+            out = tmp_path / mode / "profile.json"
+            assert main(["analyze", "--kg", str(kg_dir), "--mode", mode, "--out", str(out)]) == 0
+            profiles[mode] = json.loads(out.read_text())
+        for mode in ("uninformed", "informed"):
+            assert profiles[mode] == {mode: profiles["both"][mode], "meta": profiles["both"]["meta"]}
+
+    def test_uninformed_mode_never_profiles_the_informed_projection(self, kg_dir, tmp_path, monkeypatch):
+        from kgbench import graphs
+
+        profiled = []
+        profile_graph = graphs.profile_graph
+
+        def recording(g, mode, *args, **kwargs):
+            profiled.append(mode)
+            return profile_graph(g, mode, *args, **kwargs)
+
+        monkeypatch.setattr(graphs, "profile_graph", recording)
+        out = tmp_path / "profile.json"
+        assert main(["analyze", "--kg", str(kg_dir), "--mode", "uninformed", "--out", str(out)]) == 0
+        assert profiled == ["uninformed"]
 
 
 class TestConfigFile:

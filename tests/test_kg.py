@@ -350,6 +350,25 @@ def _assert_matches_oracle(kg: KnowledgeGraph, oracle: OracleGraph) -> None:
                 got = [(ent(e), SPLITS[s]) for e, s in zip(entities.tolist(), split_ids.tolist())]
                 assert got == expected
                 assert {ent(e) for e in view(relation, anchor)} == {e for e, _ in expected}
+    # adjacent_many: step 2 * relation is side "tail", 2 * relation + 1 side "head"; out-of-range
+    # anchors and steps (a relation with no triples among them) have no entries
+    def expected_many(anchors, steps):
+        return [
+            (k, step, e, s)
+            for k, (a, step) in enumerate(zip(anchors, steps))
+            if 0 <= a < n and 0 <= step < 2 * r
+            for e, s in oracle.adjacent(rel(step // 2), ent(a), "head" if step % 2 else "tail")
+        ]
+
+    def got_many(*args):
+        return [(k, s, ent(e), SPLITS[t]) for k, s, e, t in zip(*(a.tolist() for a in kg.adjacent_many(*args)))]
+
+    anchors = list(range(-1, n + 1))
+    every = [(k, a, step) for k, a in enumerate(anchors) for step in range(2 * r)]
+    assert got_many(anchors) == [(k, step, e, s) for k, a, step in every for _, _, e, s in expected_many([a], [step])]
+    pairs = [(a, step) for a in anchors for step in range(-1, 2 * r + 2)]
+    keyed_anchors, keyed_steps = [a for a, _ in pairs], [step for _, step in pairs]
+    assert got_many(keyed_anchors, keyed_steps) == expected_many(keyed_anchors, keyed_steps)
 
 
 def _same_outcome(call, oracle_call):

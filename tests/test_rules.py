@@ -1,10 +1,15 @@
 """Rule mining, degenerate filtering, scoring and analytics."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from kgbench import rules
 from kgbench.errors import DataError
-from kgbench.kg import ingest_triples
+from kgbench.kg import SPLITS, KnowledgeGraph, ingest_triples
 from kgbench.ranking import evaluate
 from kgbench.rules import (
     Atom,
@@ -22,6 +27,7 @@ from kgbench.rules import (
     theory_analytics,
 )
 from conftest import random_kg
+from oracles import oracle_mine_rules, oracle_rule_scores
 
 
 def _rule(head, body):
@@ -160,6 +166,88 @@ class TestMining:
             assert counts(theory) == counts(mine_rules(kg, target, max_body_len=2))
 
 
+# "inv_r0" used forward and "r0" inverted print alike, so rules can tie on the whole sort key
+RELATION_LABELS = ("r0", "inv_r0", "r1")
+
+
+@st.composite
+def split_graphs(draw):
+    """A small random graph with triples in every split."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    n_rel = draw(st.integers(min_value=1, max_value=3))
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n_rel - 1), st.integers(0, n - 1), st.sampled_from(SPLITS)),
+            max_size=30,
+            unique_by=lambda cell: cell[:3],
+        )
+    )
+    kg = KnowledgeGraph()
+    for split in SPLITS:
+        ingest_triples([f"e{h}\t{RELATION_LABELS[r]}\te{t}" for h, r, t, s in cells if s == split], split, kg)
+    return kg
+
+
+def _counts(theory):
+    return [(str(r), r.correct, r.total, r.train_correct) for r in theory.rules]
+
+
+# most entries per join chunk: a few entries, so joins split into many chunks, or the default
+join_entries = st.sampled_from([1, 2, 3, rules._JOIN_ENTRIES])
+
+
+class TestMiningOracle:
+    """Mining and rule application against brute-force walks over plain sets."""
+
+    # two paths from x to y through different middles: the body's pair (x, y) counts once even
+    # when the two joins fall in different chunks
+    @example(
+        kg=ingest_triples(["x\tr0\tz1", "x\tr0\tz2", "z1\tr1\ty", "z2\tr1\ty", "x\tinv_r0\ty"], "train"),
+        depth=2, min_coverage=1, min_confidence=0.0, recursion=False, entries=1,
+    )
+    # inv_r0(X,Y) twice, from r0 inverted and from inv_r0: a tie on the whole sort key that
+    # enumeration order breaks, seen in train_correct (1 against 2)
+    @example(
+        kg=ingest_triples(["c\tr1\td"], "test", ingest_triples(
+            ["a\tr0\tb", "d\tr0\tc", "b\tinv_r0\ta", "e\tinv_r0\tf", "b\tr1\ta", "e\tr1\tf"], "train")),
+        depth=1, min_coverage=1, min_confidence=0.0, recursion=False, entries=rules._JOIN_ENTRIES,
+    )
+    @settings(max_examples=100, deadline=None)
+    @given(
+        split_graphs(),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=4),
+        st.sampled_from([0.0, 0.2, 0.5, 2 / 3, 1.0]),
+        st.booleans(),
+        join_entries,
+    )
+    def test_mining_matches_oracle(self, kg, depth, min_coverage, min_confidence, recursion, entries):
+        with mock.patch.object(rules, "_JOIN_ENTRIES", entries):
+            for target in range(kg.n_relations):
+                theory = mine_rules(kg, target, depth, min_coverage, min_confidence, allow_recursion=recursion)
+                assert _counts(theory) == oracle_mine_rules(
+                    kg, target, depth, min_coverage, min_confidence, allow_recursion=recursion
+                )
+            mined = mine_all(kg, None, depth, min_coverage, min_confidence)
+        assert list(mined) == list(range(kg.n_relations))
+        for target, theory in mined.items():
+            assert _counts(theory) == oracle_mine_rules(kg, target, depth, min_coverage, min_confidence)
+
+    @settings(max_examples=60, deadline=None)
+    @given(split_graphs(), st.integers(min_value=1, max_value=3), st.booleans(), st.booleans(), join_entries)
+    def test_scores_match_oracle(self, kg, depth, recursion, known_train, entries):
+        with mock.patch.object(rules, "_JOIN_ENTRIES", entries):
+            theories = {t: mine_rules(kg, t, depth, allow_recursion=recursion) for t in range(kg.n_relations)}
+        scorer = rule_scorer(theories, kg, score_known_train=known_train)
+        for rel in range(kg.n_relations):
+            for anchor in range(kg.n_entities):
+                tails = oracle_rule_scores(kg, theories, rel, anchor, "tail", known_train)
+                heads = oracle_rule_scores(kg, theories, rel, anchor, "head", known_train)
+                assert scorer.score_tails(rel, anchor).tolist() == tails
+                assert scorer.score_heads(rel, anchor).tolist() == heads
+                assert [scorer.score(rel, anchor, e) for e in range(kg.n_entities)] == tails
+
+
 class TestRuleScorer:
     def _two_rule_theory(self, kg, target):
         """Hand-built theory with confidences 0.7 and 0.9 firing on the same pair."""
@@ -202,11 +290,13 @@ class TestRuleScorer:
         scorer = rule_scorer(theories, kg)
         for rel in range(kg.n_relations):
             for anchor in range(0, 12, 3):
-                tails = scorer.score_tails(rel, anchor)
-                heads = scorer.score_heads(rel, anchor)
+                tails = oracle_rule_scores(kg, theories, rel, anchor, "tail", False)
+                heads = oracle_rule_scores(kg, theories, rel, anchor, "head", False)
+                assert scorer.score_tails(rel, anchor).tolist() == tails
+                assert scorer.score_heads(rel, anchor).tolist() == heads
                 for e in range(12):
-                    assert tails[e] == scorer.score(rel, anchor, e)
-                    assert heads[e] == scorer.score(rel, e, anchor)
+                    assert scorer.score(rel, anchor, e) == tails[e]
+                    assert scorer.score(rel, e, anchor) == heads[e]
 
     def test_score_known_train_flag(self):
         kg = ingest_triples(["a\tt\tb"], "train")
