@@ -354,7 +354,7 @@ def _write_rule_analytics(kg, theories: dict, rules_path: Path) -> None:
 
 def _sniff_scorer(path: Path, kg, score_known_train: bool):
     from .embed import CKPT_MAGIC, EmbeddingModel
-    from .rules import load_theories, rule_scorer
+    from .rules import RuleScorer, load_theories
 
     with path.open("rb") as fh:
         magic = fh.read(4)
@@ -367,7 +367,7 @@ def _sniff_scorer(path: Path, kg, score_known_train: bool):
             )
         return model, "embedding"
     theories = load_theories(path, kg)
-    return rule_scorer(theories, kg, score_known_train=score_known_train), "rules"
+    return RuleScorer(theories, kg, score_known_train=score_known_train), "rules"
 
 
 def _cmd_eval_kbc(args) -> int:
@@ -394,7 +394,7 @@ def _cmd_eval_kbc(args) -> int:
         out.parent,
         args.command,
         {"rank": args.rank, "split": args.split, "hits": args.hits},
-        [scorer_path, kg_dir / f"{args.split}.idx"],
+        [scorer_path, *(kg_dir / f for f in GRAPH_FILES)],
     )
     hits_str = " ".join(f"hits@{k}={result.hits[k]:.4f}" for k in hits_at)
     print(f"{result.n_queries} queries ({args.rank} rank): {hits_str} mrr={result.mrr:.4f}")
@@ -408,8 +408,9 @@ def _cmd_analyze(args) -> int:
 
     kg_dir, kg = _load_graph(args)
     modes = ("uninformed", "informed") if args.mode == "both" else (args.mode,)
-    full = {mode: profile_graph(project_graph(kg, mode), mode, args.node_guard).to_dict() for mode in modes}
-    full["meta"] = meta_properties(kg).to_dict()
+    projected = {mode: project_graph(kg, mode) for mode in ("uninformed", "informed")}
+    full = {mode: profile_graph(projected[mode], mode, args.node_guard).to_dict() for mode in modes}
+    full["meta"] = meta_properties(kg, projected["uninformed"], projected["informed"]).to_dict()
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(json.dumps(full, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -573,11 +573,6 @@ def _apply_sgd(model: EmbeddingModel, grads: dict[str, np.ndarray], lr: float) -
 # -- feature export ------------------------------------------------------------------
 
 
-def export_features(m: EmbeddingModel, entities: Sequence[int]) -> np.ndarray:
-    """Feature matrix: dim columns, or 2*dim for ComplEx (real ++ imaginary)."""
-    return m.feature_matrix(entities)
-
-
 def write_features_csv(m: EmbeddingModel, entities: Sequence[int], labels: Sequence[str], path: Path) -> None:
     feats = m.feature_matrix(entities)
     width = feats.shape[1]

@@ -1,12 +1,13 @@
 """Undirected graph structure and exact topology metrics.
 
 All algorithms are exact and deterministic: a bit-parallel multi-source BFS
-over a CSR view of each component for eccentricity, radius, diameter and
-closeness, augmenting-path max-flow for edge and node connectivity,
-Bron-Kerbosch with pivoting for maximal cliques. No sampling or estimation
-is used. The distance metrics run on every component, with memory bounded
-by a fixed block budget; a node-count guard refuses connectivity and
-cliques on oversized components instead of approximating.
+over each component's CSR arrays for eccentricity, radius, diameter and
+closeness, exact triangle counts for clustering, augmenting-path max-flow
+for edge and node connectivity, Bron-Kerbosch with pivoting for maximal
+cliques. No sampling or estimation is used. The distance metrics run on
+every component, with memory bounded by a fixed block budget; a node-count
+guard refuses connectivity and cliques on oversized components instead of
+approximating.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .errors import DataError
+from .kg import _chunks, _distinct, _spans
 
 CLIQUE_COUNT_CAP = 10_000_000
 DEFAULT_NODE_GUARD = 5000
@@ -27,89 +28,120 @@ DEFAULT_NODE_GUARD = 5000
 # temporaries, the gathered frontier (8 bytes per CSR entry and word) and its
 # unpacked bits (64 bytes per node and word), stay within 4 MiB.
 _BFS_BLOCK_BYTES = 4 << 20
+# _triangles() tests the neighbour pairs of whole rows, at most this many at
+# once unless one row has more: about 10 MB
+# of temporaries, which stay in cache (on the FB15k-237-shaped graph, chunks
+# of 4M pairs took 60% longer and 150 MB more memory)
+_TRIANGLE_PAIRS = 1 << 17
 
 
 class UndirectedGraph:
-    """Simple undirected graph over integer nodes (adjacency sets).
+    """Immutable simple undirected graph over non-negative integer node ids,
+    in CSR form.
 
-    Parallel edges collapse. A self-loop is stored as self-adjacency and
-    counted once in the node's degree; metrics that iterate neighbours skip
-    the node itself.
+    ``ids`` holds the sorted node ids; row i of ``indptr``/``indices`` holds
+    the positions of node ids[i]'s neighbours, sorted, without i itself;
+    ``loops[i]`` says whether ids[i] has a self-loop, and ``degrees[i]`` is
+    its degree. Parallel edges collapse, and a self-loop counts once in the
+    node's degree. `edges` is an (M, 2) array or a sequence of (u, v) pairs;
+    `nodes` adds nodes that may have no edge.
     """
 
-    def __init__(self) -> None:
-        self.adj: dict[int, set[int]] = {}
+    def __init__(self, edges=(), nodes=()) -> None:
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        ids = _distinct(np.concatenate([edges.ravel(), np.asarray(nodes, dtype=np.int64).ravel()]))
+        n = len(ids)
+        u, v = np.searchsorted(ids, edges).T
+        row, col = np.divmod(_distinct(np.concatenate([u * n + v, v * n + u])), n)
+        loops = np.zeros(n, dtype=bool)
+        loops[row[row == col]] = True
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row[row != col], minlength=n), out=indptr[1:])
+        self._set(ids, indptr, col[row != col], loops)
 
-    def add_node(self, v: int) -> None:
-        self.adj.setdefault(v, set())
+    @classmethod
+    def _of_arrays(cls, ids, indptr, indices, loops) -> "UndirectedGraph":
+        g = cls.__new__(cls)
+        g._set(ids, indptr, indices, loops)
+        return g
 
-    def add_edge(self, u: int, v: int) -> None:
-        self.adj.setdefault(u, set()).add(v)
-        self.adj.setdefault(v, set()).add(u)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u in self.adj and v in self.adj[u]
+    def _set(self, ids, indptr, indices, loops) -> None:
+        self.ids, self.indptr, self.indices, self.loops = ids, indptr, indices, loops
+        self.degrees = np.diff(indptr) + loops
+        self._distances: tuple[np.ndarray, np.ndarray] | None = None  # _distance_arrays(self), once computed
 
     def nodes(self) -> list[int]:
-        return sorted(self.adj)
-
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
-    def neighbors(self, v: int) -> set[int]:
-        """Adjacent nodes excluding v itself (self-loops skipped)."""
-        return self.adj[v] - {v}
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in sorted(self.adj):
-            for v in sorted(self.adj[u]):
-                if u <= v:
-                    out.append((u, v))
-        return out
+        return self.ids.tolist()
 
     @property
     def n_nodes(self) -> int:
-        return len(self.adj)
+        return len(self.ids)
 
     @property
     def n_edges(self) -> int:
-        loops = sum(1 for u, nbrs in self.adj.items() if u in nbrs)
-        return (sum(len(n) for n in self.adj.values()) - loops) // 2 + loops
+        return len(self.indices) // 2 + int(self.loops.sum())
 
-    def subgraph(self, nodes: set[int]) -> "UndirectedGraph":
-        g = UndirectedGraph()
-        for v in nodes:
-            g.adj[v] = self.adj[v] & nodes
-        return g
+
+def _neighbor_lists(g: UndirectedGraph) -> dict[int, list[int]]:
+    """Each node's neighbours by id, sorted, itself left out: the adjacency
+    that the flow and clique searches walk."""
+    ptr, nbrs = g.indptr.tolist(), g.ids[g.indices].tolist()
+    return {v: nbrs[ptr[i] : ptr[i + 1]] for i, v in enumerate(g.ids.tolist())}
+
+
+def _component_labels(g: UndirectedGraph) -> np.ndarray:
+    """For each node, the smallest position in its component.
+
+    Hook and compress: every node takes the smallest label among its own
+    and its neighbours' labels, the node its old label points to takes it
+    too, and then pointers are followed until each label is a fixed point.
+    Labels only decrease and stay within the component, so at the fixed
+    point each component carries its smallest position."""
+    nonempty = g.indptr[:-1] < g.indptr[1:]
+    starts = g.indptr[:-1][nonempty]
+    label = np.arange(g.n_nodes)
+    while True:
+        low = label.copy()
+        if len(starts):
+            low[nonempty] = np.minimum(label[nonempty], np.minimum.reduceat(label[g.indices], starts))
+        np.minimum.at(low, label, low)
+        while not np.array_equal(jump := low[low], low):
+            low = jump
+        if np.array_equal(low, label):
+            return label
+        label = low
 
 
 def connected_components(g: UndirectedGraph) -> list[UndirectedGraph]:
-    """Partition into connected components, ordered by smallest node id."""
-    seen: set[int] = set()
-    comps: list[set[int]] = []
-    for start in sorted(g.adj):
-        if start in seen:
-            continue
-        comp = {start}
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    queue.append(w)
-        seen |= comp
-        comps.append(comp)
-    return [g.subgraph(c) for c in comps]
+    """Partition into connected components, ordered by smallest node id.
+
+    The nodes are labelled once, sorted stably by label, and each component
+    is a slice of the reordered arrays."""
+    label = _component_labels(g)
+    order = np.argsort(label, kind="stable")
+    first = np.flatnonzero(np.diff(label[order], prepend=-1))  # label >= 0
+    bounds = np.flatnonzero(np.diff(label[order], append=-1)) + 1
+    local = np.empty(g.n_nodes, dtype=np.int64)
+    local[order] = np.arange(g.n_nodes) - np.repeat(first, bounds - first)
+    counts = np.diff(g.indptr)[order]
+    ptr = np.zeros(g.n_nodes + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    indices = local[g.indices[_spans(g.indptr[:-1][order], counts)]]
+    ids, loops = g.ids[order], g.loops[order]
+    return [
+        UndirectedGraph._of_arrays(ids[a:b], ptr[a : b + 1] - ptr[a], indices[ptr[a] : ptr[b]], loops[a:b])
+        for a, b in zip(first.tolist(), bounds.tolist())
+    ]
 
 
 def bfs_distances(g: UndirectedGraph, source: int) -> dict[int, int]:
+    """Hop distance from `source` to every node it reaches, by node id."""
+    nbrs = _neighbor_lists(g)
     dist = {source: 0}
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in g.adj[u]:
+        for w in nbrs[u]:
             if w not in dist:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -119,7 +151,7 @@ def bfs_distances(g: UndirectedGraph, source: int) -> dict[int, int]:
 def is_connected(g: UndirectedGraph) -> bool:
     if g.n_nodes == 0:
         return True
-    return len(bfs_distances(g, next(iter(g.adj)))) == g.n_nodes
+    return len(bfs_distances(g, int(g.ids[0]))) == g.n_nodes
 
 
 # -- local/degree metrics ----------------------------------------------------
@@ -128,33 +160,26 @@ def is_connected(g: UndirectedGraph) -> bool:
 def avg_neighbor_degree(g: UndirectedGraph) -> float | None:
     """Mean over nodes with degree >= 1 of the mean degree of their
     neighbours; None when no node qualifies (isolated nodes are excluded)."""
-    per_node = []
-    for v in g.nodes():
-        nbrs = g.neighbors(v)
-        if not nbrs:
-            continue
-        per_node.append(sum(g.degree(u) for u in nbrs) / len(nbrs))
-    if not per_node:
+    k = np.diff(g.indptr)
+    has = k > 0
+    if not has.any():
         return None
-    return float(np.mean(per_node))
+    sums = np.add.reduceat(g.degrees[g.indices], g.indptr[:-1][has])
+    return float(np.mean(sums / k[has]))
 
 
 def degree_assortativity(g: UndirectedGraph) -> float | None:
     """Pearson correlation of endpoint degrees over all edges counted in
     both orientations; None when either endpoint series has zero variance
     (k-regular graphs). Self-loops are excluded."""
-    xs: list[float] = []
-    ys: list[float] = []
-    for u, v in g.edges():
-        if u == v:
-            continue
-        du, dv = g.degree(u), g.degree(v)
-        xs.extend((du, dv))
-        ys.extend((dv, du))
-    if len(xs) < 2:
+    row = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
+    upper = row < g.indices  # each non-loop edge once, in (u, v) order
+    row, col = row[upper], g.indices[upper]
+    if len(row) == 0:
         return None
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
+    ends = np.column_stack([row, col])
+    deg = g.degrees.astype(np.float64)
+    x, y = deg[ends.ravel()], deg[ends[:, ::-1].ravel()]  # (du, dv) and (dv, du) per edge, in edge order
     sx = x.std()
     sy = y.std()
     if sx == 0.0 or sy == 0.0:
@@ -162,32 +187,48 @@ def degree_assortativity(g: UndirectedGraph) -> float | None:
     return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
 
 
+def _triangles(g: UndirectedGraph) -> np.ndarray:
+    """The number of triangles through each node, in ids order (self-loops
+    ignored). Each triangle is found once, at its node of lowest (degree,
+    position), as two of that node's higher-ranked neighbours that are
+    adjacent (Latapy, "Main-memory triangle computations for very large
+    (sparse (power-law)) graphs", TCS 2008)."""
+    n = g.n_nodes
+    k = np.diff(g.indptr)
+    row, col = np.repeat(np.arange(n), k), g.indices
+    up = (k[col] > k[row]) | ((k[col] == k[row]) & (col > row))
+    src, dst = row[up], col[up]  # each edge once, from its lower-ranked end; rows stay sorted
+    end = np.searchsorted(src, src, side="right")
+    pairs = end - np.arange(len(src)) - 1  # an entry pairs with the later entries of its row
+    tri = np.zeros(n, dtype=np.int64)
+    if not pairs.any():
+        return tri
+    keys = row * n + col  # sorted
+    for lo, hi in _chunks(src, pairs, _TRIANGLE_PAIRS):
+        a = np.repeat(np.arange(lo, hi), pairs[lo:hi])
+        b = _spans(np.arange(lo, hi) + 1, pairs[lo:hi])
+        key = dst[a] * n + dst[b]
+        hit = keys[np.minimum(np.searchsorted(keys, key), len(keys) - 1)] == key
+        tri += np.bincount(np.concatenate([src[a[hit]], dst[a[hit]], dst[b[hit]]]), minlength=n)
+    return tri
+
+
 def average_clustering(g: UndirectedGraph) -> float:
     """Mean over nodes of 2*triangles(v) / (deg(v)*(deg(v)-1)), with
     degree-<2 nodes contributing 0. Self-adjacency is ignored."""
     if g.n_nodes == 0:
         return 0.0
-    total = 0.0
-    for v in g.nodes():
-        nbrs = sorted(g.neighbors(v))
-        k = len(nbrs)
-        if k < 2:
-            continue
-        links = 0
-        for i in range(k):
-            ai = g.adj[nbrs[i]]
-            for j in range(i + 1, k):
-                if nbrs[j] in ai:
-                    links += 1
-        total += 2.0 * links / (k * (k - 1))
-    return total / g.n_nodes
+    k = np.diff(g.indptr)
+    coef = 2.0 * _triangles(g) / np.maximum(k * (k - 1), 1)  # a node of degree < 2 has no triangle
+    # cumsum adds one node at a time, in node order, as a running total does
+    return float(np.cumsum(coef)[-1] / g.n_nodes)
 
 
 def degree_centrality_mean(g: UndirectedGraph) -> float:
     n = g.n_nodes
     if n <= 1:
         return 0.0
-    return float(np.mean([g.degree(v) / (n - 1) for v in g.nodes()]))
+    return float(np.mean(g.degrees / (n - 1)))
 
 
 # -- distance metrics ---------------------------------------------------------
@@ -195,23 +236,20 @@ def degree_centrality_mean(g: UndirectedGraph) -> float:
 
 def _distance_arrays(g: UndirectedGraph) -> tuple[np.ndarray, np.ndarray]:
     """Per-node eccentricity and sum of BFS distances of a connected graph,
-    as int64 arrays in ``g.nodes()`` order. Raises on disconnected input.
+    as int64 arrays in ``g.nodes()`` order, computed once per graph. Raises
+    on disconnected input.
 
-    Multi-source BFS (MS-BFS, Then et al., VLDB 2015) over a CSR view of g:
+    Multi-source BFS (MS-BFS, Then et al., VLDB 2015) over g's CSR arrays:
     each source is one bit of a uint64 word, so one pass over the edges per
     level advances 64 sources per word.
     """
-    nodes = g.nodes()
-    n = len(nodes)
-    pos = {v: i for i, v in enumerate(nodes)}
-    rows = [sorted(pos[u] for u in g.adj[v] if u != v) for v in nodes]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum([len(row) for row in rows], out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(indptr[-1]))
+    if g._distances is not None:
+        return g._distances
+    n, indices = g.n_nodes, g.indices
     # reduceat yields row[start], not 0, for an empty row: reduce only the
     # non-empty rows, whose segments then end where the next one starts
-    nonempty = indptr[:-1] < indptr[1:]
-    starts = indptr[:-1][nonempty]
+    nonempty = g.indptr[:-1] < g.indptr[1:]
+    starts = g.indptr[:-1][nonempty]
     ecc = np.zeros(n, dtype=np.int64)
     sums = np.zeros(n, dtype=np.int64)
     reached = np.ones(n, dtype=np.int64)
@@ -242,6 +280,7 @@ def _distance_arrays(g: UndirectedGraph) -> tuple[np.ndarray, np.ndarray]:
             frontier = nxt
     if (reached < n).any():
         raise DataError("graph is disconnected; pass a connected component")
+    g._distances = ecc, sums
     return ecc, sums
 
 
@@ -298,88 +337,67 @@ def _max_flow(cap: dict[int, dict[int, int]], source: int, sink: int, cutoff: in
     return flow
 
 
-def _edge_cap_graph(g: UndirectedGraph) -> dict[int, dict[int, int]]:
-    cap: dict[int, dict[int, int]] = {v: {} for v in g.adj}
-    for u, v in g.edges():
-        if u == v:
-            continue
-        cap[u][v] = 1
-        cap[v][u] = 1
-    return cap
-
-
-def edge_connectivity(g: UndirectedGraph) -> int:
-    """Size of a minimum edge cut: min over t != s of max-flow(s, t) with
-    unit capacities, s fixed at a minimum-degree node."""
-    nodes = g.nodes()
-    if len(nodes) < 2:
-        return 0
-    if not is_connected(g):
-        return 0
-    s = min(nodes, key=lambda v: (len(g.neighbors(v)), v))
-    best = len(g.neighbors(s))
-    for t in nodes:
+def _edge_connectivity(nbrs: dict[int, list[int]]) -> int:
+    """Size of a minimum edge cut of a connected graph: min over t != s of
+    max-flow(s, t) with unit capacities, s fixed at a minimum-degree node."""
+    s = min(nbrs, key=lambda v: (len(nbrs[v]), v))
+    best = len(nbrs[s])
+    for t in nbrs:
         if t == s:
             continue
         if best <= 1:
             break  # connected graphs have connectivity >= 1
-        best = min(best, _max_flow(_edge_cap_graph(g), s, t, best))
+        best = min(best, _max_flow({v: dict.fromkeys(row, 1) for v, row in nbrs.items()}, s, t, best))
     return best
 
 
-def _vertex_split_flow(g: UndirectedGraph, s: int, t: int, cutoff: int) -> int:
+def _vertex_split_flow(nbrs: dict[int, list[int]], s: int, t: int, cutoff: int) -> int:
     """Minimum vertex cut between non-adjacent s and t via unit node
     capacities: each internal node v becomes v_in -> v_out with capacity 1."""
     # encode: node v -> (2v) in, (2v+1) out
-    inf = g.n_nodes + 1
+    inf = len(nbrs) + 1
     cap: dict[int, dict[int, int]] = {}
-    for v in g.adj:
-        cap[2 * v] = {}
-        cap[2 * v + 1] = {}
-        cap[2 * v][2 * v + 1] = inf if v in (s, t) else 1
-    for u, v in g.edges():
-        if u == v:
-            continue
-        cap[2 * u + 1][2 * v] = inf
-        cap[2 * v + 1][2 * u] = inf
+    for v, row in nbrs.items():
+        cap[2 * v] = {2 * v + 1: inf if v in (s, t) else 1}
+        cap[2 * v + 1] = {2 * u: inf for u in row}
     return _max_flow(cap, 2 * s + 1, 2 * t, cutoff)
 
 
-def node_connectivity(g: UndirectedGraph) -> int:
-    """Size of a minimum vertex cut. Complete graphs have connectivity n-1.
+def _node_connectivity(nbrs: dict[int, list[int]]) -> int:
+    """Size of a minimum vertex cut of a connected graph. Complete graphs
+    have connectivity n-1.
 
     Uses the standard reduction: fix a minimum-degree node s and take the
     minimum vertex-split flow over all targets non-adjacent to s plus all
     non-adjacent pairs among s's neighbours.
     """
-    nodes = g.nodes()
-    n = len(nodes)
-    if n < 2:
-        return 0
-    if not is_connected(g):
-        return 0
-    s = min(nodes, key=lambda v: (len(g.neighbors(v)), v))
-    s_nbrs = g.neighbors(s)
+    s = min(nbrs, key=lambda v: (len(nbrs[v]), v))
+    s_nbrs = set(nbrs[s])
     best = len(s_nbrs)  # kappa <= minimum degree; equals n-1 on complete graphs
-    non_neighbors = [t for t in nodes if t != s and t not in s_nbrs]
+    non_neighbors = [t for t in nbrs if t != s and t not in s_nbrs]
     for t in non_neighbors:
         if best <= 1:
             return best
-        best = min(best, _vertex_split_flow(g, s, t, best))
-    snl = sorted(s_nbrs)
+        best = min(best, _vertex_split_flow(nbrs, s, t, best))
+    snl = nbrs[s]
     for i, u in enumerate(snl):
+        adj_u = set(nbrs[u])
         for w in snl[i + 1 :]:
-            if w in g.adj[u]:
+            if w in adj_u:
                 continue
             if best <= 1:
                 return best
-            best = min(best, _vertex_split_flow(g, u, w, best))
+            best = min(best, _vertex_split_flow(nbrs, u, w, best))
     return best
 
 
 def connectivity(g: UndirectedGraph) -> tuple[int, int]:
-    """(edge connectivity, node connectivity) of a connected component."""
-    return edge_connectivity(g), node_connectivity(g)
+    """(edge connectivity, node connectivity) of a component; (0, 0) when
+    it has fewer than two nodes or is disconnected."""
+    if g.n_nodes < 2 or not is_connected(g):
+        return 0, 0
+    nbrs = _neighbor_lists(g)
+    return _edge_connectivity(nbrs), _node_connectivity(nbrs)
 
 
 # -- cliques --------------------------------------------------------------------
@@ -398,7 +416,7 @@ def cliques(g: UndirectedGraph, count_cap: int = CLIQUE_COUNT_CAP) -> CliqueStat
     `count_cap` with the truncation flag set."""
     if g.n_nodes == 0:
         return CliqueStats(0, 0)
-    adj = {v: g.neighbors(v) for v in g.adj}
+    adj = {v: set(row) for v, row in _neighbor_lists(g).items()}
     stats = CliqueStats(0, 0)
 
     def expand(r_size: int, p: set[int], x: set[int]) -> None:
@@ -415,7 +433,7 @@ def cliques(g: UndirectedGraph, count_cap: int = CLIQUE_COUNT_CAP) -> CliqueStat
             p = p - {v}
             x = x | {v}
 
-    expand(0, set(g.adj), set())
+    expand(0, set(adj), set())
     return stats
 
 
@@ -508,7 +526,7 @@ class DatasetProfile:
 def _avg_degree(g: UndirectedGraph) -> float:
     if g.n_nodes == 0:
         return 0.0
-    return float(np.mean([g.degree(v) for v in g.nodes()]))
+    return float(np.mean(g.degrees))
 
 
 def profile_graph(g: UndirectedGraph, mode: str, node_guard: int = DEFAULT_NODE_GUARD) -> GraphModeProfile:
@@ -560,14 +578,8 @@ def profile_graph(g: UndirectedGraph, mode: str, node_guard: int = DEFAULT_NODE_
         per_comp["max_clique"].append(float(cs.max_size))
         per_comp["n_maximal_cliques"].append(float(cs.count))
 
-    props: dict[str, PropertyStat | None] = {}
-    all_degrees = [float(g.degree(v)) for v in g.nodes()]
-    props["average_degree"] = PropertyStat.of(all_degrees) if all_degrees else None
-    for key in PROPERTY_ORDER:
-        if key == "average_degree":
-            continue
-        vals = per_comp[key]
-        props[key] = PropertyStat.of(vals) if vals else None
+    per_comp["average_degree"] = g.degrees
+    props = {key: PropertyStat.of(vals) if len(vals) else None for key, vals in per_comp.items()}
     sizes = [float(c.n_nodes) for c in comps]
     return GraphModeProfile(
         mode=mode,
@@ -580,18 +592,14 @@ def profile_graph(g: UndirectedGraph, mode: str, node_guard: int = DEFAULT_NODE_
     )
 
 
-def meta_properties(kg) -> MetaBlock:
-    """Edge reduction and degree proportion between the two projections,
-    plus attribute/relation counts."""
-    from .kg import project_graph
-
-    uninf = project_graph(kg, "uninformed")
-    inf = project_graph(kg, "informed")
-    if uninf.n_edges == 0:
+def meta_properties(kg, uninformed: UndirectedGraph, informed: UndirectedGraph) -> MetaBlock:
+    """Edge reduction and degree proportion between the two projections of
+    `kg` (``project_graph(kg, mode)``), plus attribute/relation counts."""
+    if uninformed.n_edges == 0:
         raise DataError("uninformed graph has no edges; meta-properties undefined")
-    edge_reduction = 1.0 - inf.n_edges / uninf.n_edges
-    avg_uninf = _avg_degree(uninf)
-    avg_inf = _avg_degree(inf)
+    edge_reduction = 1.0 - informed.n_edges / uninformed.n_edges
+    avg_uninf = _avg_degree(uninformed)
+    avg_inf = _avg_degree(informed)
     degree_proportion = avg_inf / avg_uninf if avg_uninf > 0 else 0.0
     n_attr = len(kg.attribute_relations)
     return MetaBlock(
@@ -606,6 +614,9 @@ def profile_kg(kg, node_guard: int = DEFAULT_NODE_GUARD) -> DatasetProfile:
     """Full profile of both graph projections plus meta-properties."""
     from .kg import project_graph
 
-    uninf = profile_graph(project_graph(kg, "uninformed"), "uninformed", node_guard)
-    inf = profile_graph(project_graph(kg, "informed"), "informed", node_guard)
-    return DatasetProfile(uninformed=uninf, informed=inf, meta=meta_properties(kg))
+    uninf, inf = project_graph(kg, "uninformed"), project_graph(kg, "informed")
+    return DatasetProfile(
+        uninformed=profile_graph(uninf, "uninformed", node_guard),
+        informed=profile_graph(inf, "informed", node_guard),
+        meta=meta_properties(kg, uninf, inf),
+    )

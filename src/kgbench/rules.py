@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DataError
-from .kg import SPLITS, KnowledgeGraph
+from .kg import SPLITS, KnowledgeGraph, _chunks, _distinct, _spans
 
 INV_PREFIX = "inv_"
 _TRAIN = SPLITS.index("train")
@@ -144,31 +144,6 @@ def _rule_order(rule: HornRule) -> tuple:
     return (-rule.confidence, -rule.coverage, tuple(a.relation for a in rule.body))
 
 
-def _distinct(keys: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of `keys`: np.unique's result, from one sort
-    (np.unique took 60 times as long on 4M int64 keys with numpy 2.4)."""
-    keys = np.sort(keys)
-    return keys[np.diff(keys, prepend=-1) != 0]  # keys >= 0
-
-
-def _spans(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The positions in the ranges [starts[i], starts[i] + counts[i]), concatenated."""
-    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-
-
-def _chunks(x: np.ndarray, gathered: np.ndarray) -> Iterator[tuple[int, int]]:
-    """Slices [lo, hi) of whole runs of equal X in the sorted `x` whose
-    `gathered` entries add up to at most _JOIN_ENTRIES (or to one run)."""
-    run_ends = np.flatnonzero(np.diff(x, append=-1)) + 1  # x >= 0
-    upto = np.cumsum(gathered)[run_ends - 1]
-    lo, runs, done = 0, 0, 0
-    while lo < len(x):
-        runs = max(int(np.searchsorted(upto, done + _JOIN_ENTRIES, side="right")), runs + 1)
-        hi, done = int(run_ends[runs - 1]), int(upto[runs - 1])
-        yield lo, hi
-        lo = hi
-
-
 def _mine(
     kg: KnowledgeGraph,
     targets: Iterable[int],
@@ -215,7 +190,7 @@ def _mine(
         # per step: distinct pairs, and per (relation, is a train triple) the pairs that are known true
         totals, cells = np.zeros(2 * n_rel, dtype=np.int64), np.zeros(4 * n_rel * n_rel, dtype=np.int64)
         joined = []  # the join's sorted keys, when the extensions are extended in turn
-        for lo, hi in _chunks(x, gathered):
+        for lo, hi in _chunks(x, gathered, _JOIN_ENTRIES):
             pos = _spans(starts[lo:hi], gathered[lo:hi])
             keys = _distinct(steps[pos] * span + np.repeat(x[lo:hi], gathered[lo:hi]) * n + ends[pos])
             key_steps, pair = np.divmod(keys, span)
@@ -347,14 +322,6 @@ class RuleScorer:
 
     def score_heads(self, relation: int, tail: int):
         return self._score_side(relation, tail, backward=True)
-
-
-def rule_scorer(
-    theories: dict[int, RuleTheory],
-    kg: KnowledgeGraph,
-    score_known_train: bool = False,
-) -> RuleScorer:
-    return RuleScorer(theories, kg, score_known_train)
 
 
 # -- analytics -----------------------------------------------------------------------

@@ -2,20 +2,29 @@
 
 These deliberately avoid the library's own code paths: bitmask subset
 enumeration, Floyd-Warshall, pure-Python loops. They are exponential or
-quadratic and only run on small inputs. The per-source distance references
-are the exception: they keep a retired code path, built on the public
-single-source ``bfs_distances``, as the exact reference for its replacement.
+quadratic and only run on small inputs. The reference path is the
+exception: it keeps the retired dict-of-set graph code as the exact
+reference for its CSR replacement.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from itertools import combinations, product
 
 import numpy as np
 
 from kgbench.errors import DataError
-from kgbench.graphs import bfs_distances
+from kgbench.graphs import (
+    PROPERTY_ORDER,
+    GraphModeProfile,
+    PropertyStat,
+    UndirectedGraph,
+    bfs_distances,
+    cliques,
+    connectivity,
+)
 
 
 def random_connected_graph(rng, n: int, extra_edge_prob: float = 0.25) -> list[set[int]]:
@@ -120,9 +129,150 @@ def oracle_closeness_mean(adj: list[set[int]]) -> float:
     return math.fsum(vals) / n
 
 
-# Per-source references: the formulas the distance metrics used before the
-# multi-source BFS, one bfs_distances call per node. The library's results
-# must equal these exactly, floats included.
+# -- reference path -----------------------------------------------------------------
+# The dict-of-set graph and the metrics that the library's CSR code replaced,
+# kept as the exact reference for it: the library's results must equal these,
+# floats included. The per-source distance references run one BFS per node:
+# the library's single-source bfs_distances on its own graphs, the dict-of-set
+# BFS on a ReferenceGraph.
+
+
+class ReferenceGraph:
+    """Simple undirected graph over integer nodes (adjacency sets).
+
+    Parallel edges collapse. A self-loop is stored as self-adjacency and
+    counted once in the node's degree; metrics that iterate neighbours skip
+    the node itself.
+    """
+
+    def __init__(self, edges=(), nodes=()) -> None:
+        self.adj: dict[int, set[int]] = {}
+        for v in nodes:
+            self.adj.setdefault(int(v), set())
+        for u, v in edges:
+            self.adj.setdefault(int(u), set()).add(int(v))
+            self.adj.setdefault(int(v), set()).add(int(u))
+
+    def nodes(self) -> list[int]:
+        return sorted(self.adj)
+
+    def degree(self, v: int) -> int:
+        return len(self.adj[v])
+
+    def neighbors(self, v: int) -> set[int]:
+        return self.adj[v] - {v}
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(u, v) for u in sorted(self.adj) for v in sorted(self.adj[u]) if u <= v]
+
+    @property
+    def n_nodes(self) -> int:
+        return len(self.adj)
+
+    @property
+    def n_edges(self) -> int:
+        loops = sum(1 for u, nbrs in self.adj.items() if u in nbrs)
+        return (sum(len(n) for n in self.adj.values()) - loops) // 2 + loops
+
+    def subgraph(self, nodes: set[int]) -> "ReferenceGraph":
+        g = ReferenceGraph()
+        for v in nodes:
+            g.adj[v] = self.adj[v] & nodes
+        return g
+
+
+def reference_components(g: ReferenceGraph) -> list[ReferenceGraph]:
+    """Connected components by BFS, ordered by smallest node id."""
+    seen: set[int] = set()
+    comps: list[set[int]] = []
+    for start in sorted(g.adj):
+        if start in seen:
+            continue
+        comp = {start}
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in g.adj[u]:
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        comps.append(comp)
+    return [g.subgraph(c) for c in comps]
+
+
+def reference_bfs_distances(g: ReferenceGraph, source: int) -> dict[int, int]:
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def reference_avg_neighbor_degree(g: ReferenceGraph) -> float | None:
+    per_node = []
+    for v in g.nodes():
+        nbrs = g.neighbors(v)
+        if not nbrs:
+            continue
+        per_node.append(sum(g.degree(u) for u in nbrs) / len(nbrs))
+    if not per_node:
+        return None
+    return float(np.mean(per_node))
+
+
+def reference_assortativity(g: ReferenceGraph) -> float | None:
+    xs: list[float] = []
+    ys: list[float] = []
+    for u, v in g.edges():
+        if u == v:
+            continue
+        du, dv = g.degree(u), g.degree(v)
+        xs.extend((du, dv))
+        ys.extend((dv, du))
+    if len(xs) < 2:
+        return None
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    sx = x.std()
+    sy = y.std()
+    if sx == 0.0 or sy == 0.0:
+        return None
+    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+
+
+def reference_clustering(g: ReferenceGraph) -> float:
+    if g.n_nodes == 0:
+        return 0.0
+    total = 0.0
+    for v in g.nodes():
+        nbrs = sorted(g.neighbors(v))
+        k = len(nbrs)
+        if k < 2:
+            continue
+        links = 0
+        for i in range(k):
+            ai = g.adj[nbrs[i]]
+            for j in range(i + 1, k):
+                if nbrs[j] in ai:
+                    links += 1
+        total += 2.0 * links / (k * (k - 1))
+    return total / g.n_nodes
+
+
+def reference_degree_centrality_mean(g: ReferenceGraph) -> float:
+    n = g.n_nodes
+    if n <= 1:
+        return 0.0
+    return float(np.mean([g.degree(v) / (n - 1) for v in g.nodes()]))
+
+
+def _bfs_of(g):
+    return reference_bfs_distances if isinstance(g, ReferenceGraph) else bfs_distances
 
 
 def reference_ecc_radius_diameter(g) -> tuple[float, int, int]:
@@ -133,7 +283,7 @@ def reference_ecc_radius_diameter(g) -> tuple[float, int, int]:
         return 0.0, 0, 0
     eccs = []
     for v in nodes:
-        dist = bfs_distances(g, v)
+        dist = _bfs_of(g)(g, v)
         if len(dist) != len(nodes):
             raise DataError("graph is disconnected; pass a connected component")
         eccs.append(max(dist.values()))
@@ -147,11 +297,70 @@ def reference_closeness_mean(g) -> float:
         return 0.0
     vals = []
     for v in nodes:
-        dist = bfs_distances(g, v)
+        dist = _bfs_of(g)(g, v)
         if len(dist) != n:
             raise DataError("graph is disconnected; pass a connected component")
         vals.append((n - 1) / sum(dist.values()))
     return float(np.mean(vals))
+
+
+def reference_profile_graph(g: ReferenceGraph, mode: str, node_guard: int) -> GraphModeProfile:
+    """profile_graph on the reference path. Connectivity and cliques, whose
+    algorithms the CSR graph kept, run the library's code on each component
+    rebuilt as a library graph."""
+    comps = reference_components(g)
+    notes: list[str] = []
+    per_comp: dict[str, list[float]] = {k: [] for k in PROPERTY_ORDER}
+    for ci, comp in enumerate(comps):
+        n = comp.n_nodes
+        per_comp["average_degree_per_component"].append(float(np.mean([comp.degree(v) for v in comp.nodes()])))
+        nbr = reference_avg_neighbor_degree(comp)
+        if nbr is None:
+            notes.append(f"component {ci}: no node with degree >= 1, neighbor degree skipped")
+        else:
+            per_comp["average_neighbor_degree"].append(nbr)
+        assort = reference_assortativity(comp)
+        if assort is not None:
+            per_comp["degree_assortativity"].append(assort)
+        per_comp["average_clustering"].append(reference_clustering(comp))
+        per_comp["degree_centrality"].append(reference_degree_centrality_mean(comp))
+        per_comp["closeness_centrality"].append(reference_closeness_mean(comp))
+        ecc, radius, diam = reference_ecc_radius_diameter(comp)
+        per_comp["eccentricity"].append(ecc)
+        per_comp["radius"].append(float(radius))
+        per_comp["diameter"].append(float(diam))
+        if n > node_guard:
+            notes.append(
+                f"component {ci}: {n} nodes exceeds guard {node_guard}, connectivity and cliques skipped"
+            )
+            continue
+        if n == 1:
+            notes.append(f"component {ci}: single node, connectivity defined as 0")
+            per_comp["edge_connectivity"].append(0.0)
+            per_comp["node_connectivity"].append(0.0)
+        else:
+            ec, nc = connectivity(UndirectedGraph(comp.edges(), comp.nodes()))
+            per_comp["edge_connectivity"].append(float(ec))
+            per_comp["node_connectivity"].append(float(nc))
+        cs = cliques(UndirectedGraph(comp.edges(), comp.nodes()))
+        if cs.truncated:
+            notes.append(f"component {ci}: maximal clique count truncated at cap")
+        per_comp["max_clique"].append(float(cs.max_size))
+        per_comp["n_maximal_cliques"].append(float(cs.count))
+    degrees = [float(g.degree(v)) for v in g.nodes()]
+    props = {"average_degree": PropertyStat.of(degrees) if degrees else None}
+    for key in PROPERTY_ORDER[1:]:
+        props[key] = PropertyStat.of(per_comp[key]) if per_comp[key] else None
+    sizes = [float(c.n_nodes) for c in comps]
+    return GraphModeProfile(
+        mode=mode,
+        n_nodes=g.n_nodes,
+        n_edges=g.n_edges,
+        n_components=len(comps),
+        component_size=PropertyStat.of(sizes) if sizes else None,
+        properties=props,
+        notes=notes,
+    )
 
 
 def oracle_degree_centrality_mean(adj: list[set[int]]) -> float:

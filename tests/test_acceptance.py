@@ -44,7 +44,7 @@ from kgbench.graphs import (
     eccentricity_radius_diameter,
     meta_properties,
 )
-from kgbench.kg import KnowledgeGraph, Triple, ingest_triples
+from kgbench.kg import KnowledgeGraph, Triple, ingest_triples, project_graph
 from kgbench.ranking import (
     ConstantScorer,
     CorruptionSet,
@@ -54,7 +54,7 @@ from kgbench.ranking import (
     pessimistic_rank,
 )
 from kgbench.report import render_report
-from kgbench.rules import Atom, HornRule, filter_degenerate, mine_rules, rule_scorer
+from kgbench.rules import Atom, HornRule, RuleScorer, filter_degenerate, mine_rules
 from conftest import build_equivalence_kg, random_kg
 from oracles import (
     oracle_assortativity,
@@ -243,7 +243,7 @@ def test_end_to_end_synthetic_equivalence():
         top = theory.rules[0]
         assert str(top) == "r2(X,Y) :- r1(X,Y)."
         assert top.confidence == 1.0
-        scorer = rule_scorer({r2: theory}, kg)
+        scorer = RuleScorer({r2: theory}, kg)
         rule_result = evaluate(scorer, kg, split="test", rank_mode="expected")
         assert rule_result.hits[1] == 1.0
 
@@ -336,11 +336,11 @@ def test_meta_properties():
         for i in range(13):
             kg.add_triple(f"a{i}", "linked", f"b{i}", "train")
         kg.mark_attribute("has_value")
-        meta = meta_properties(kg)
+        meta = meta_properties(kg, project_graph(kg, "uninformed"), project_graph(kg, "informed"))
         assert meta.edge_reduction == pytest.approx(0.87)
 
         plain = ingest_triples(["a\tr\tb", "b\tr\tc"], "train")
-        meta2 = meta_properties(plain)
+        meta2 = meta_properties(plain, project_graph(plain, "uninformed"), project_graph(plain, "informed"))
         assert meta2.edge_reduction == 0.0
         assert meta2.degree_proportion == 1.0
 
@@ -421,5 +421,5 @@ def test_full_scale_fb15k237():
     assert 0.35 <= dist.hits[10] <= 0.47
 
     theories = mine_all(kg, max_body_len=3, min_coverage=10, min_confidence=0.05)
-    rules_result = evaluate(rule_scorer(theories, kg), kg, split="test", rank_mode="expected")
+    rules_result = evaluate(RuleScorer(theories, kg), kg, split="test", rank_mode="expected")
     assert rules_result.hits[10] >= 0.20

@@ -411,6 +411,18 @@ class TestPipeline:
         assert main(["report", "--results", str(src), "--out", str(tmp_path / "out")]) == 2
 
 
+def _eval_kbc_argv(kg: Path, out: Path) -> list[str]:
+    scorer = kg.parent / "model.kge"  # 5 entities and 2 relations, as the stage's graph has
+    EmbeddingModel.initialize("transe", 5, 2, 2, seed=0).save(scorer)
+    return ["eval-kbc", "--kg", str(kg), "--scorer", str(scorer), "--out", str(out / "report.json")]
+
+
+def _apply_rules_argv(kg: Path, out: Path) -> list[str]:
+    rules = kg.parent / "rules.txt"
+    rules.write_text("0.5\t2\ts(X,Y) :- r(X,Y).\n", encoding="utf-8")
+    return ["apply-rules", "--kg", str(kg), "--rules", str(rules), "--out", str(out / "report.json")]
+
+
 class TestManifest:
     def test_digest_changes_iff_input_changes(self, tmp_path):
         train = tmp_path / "train.tsv"
@@ -472,18 +484,20 @@ class TestManifest:
         return {Path(p).name: digest for p, digest in inputs.items()}
 
     @pytest.mark.parametrize(
-        "stage_argv",
+        ("stage_argv", "scorer"),
         [
-            lambda kg, out: ["mine-rules", "--kg", str(kg), "--all-targets", "--max-body", "1",
-                             "--out", str(out / "rules.txt")],
-            lambda kg, out: ["train", "--kg", str(kg), "--dim", "2", "--epochs", "1", "--checkpoint-every", "1",
-                             "--out", str(out)],
+            (lambda kg, out: ["mine-rules", "--kg", str(kg), "--all-targets", "--max-body", "1",
+                              "--out", str(out / "rules.txt")], []),
+            (lambda kg, out: ["train", "--kg", str(kg), "--dim", "2", "--epochs", "1", "--checkpoint-every", "1",
+                              "--out", str(out)], []),
+            (_eval_kbc_argv, ["model.kge"]),
+            (_apply_rules_argv, ["rules.txt"]),
         ],
-        ids=["mine-rules", "train"],
+        ids=["mine-rules", "train", "eval-kbc", "apply-rules"],
     )
-    def test_stage_manifest_hashes_every_split_and_vocabulary(self, tmp_path, stage_argv):
+    def test_stage_manifest_hashes_every_split_and_vocabulary(self, tmp_path, stage_argv, scorer):
         before = self._stage_inputs(tmp_path, stage_argv, "d\ts\te\n")
-        assert sorted(before) == sorted(["entities.tsv", "relations.tsv", "train.idx", "valid.idx", "test.idx"])
+        assert sorted(before) == sorted(["entities.tsv", "relations.tsv", "train.idx", "valid.idx", "test.idx", *scorer])
         after = self._stage_inputs(tmp_path, stage_argv, "e\ts\td\n")
         assert after["test.idx"] != before["test.idx"]
         assert {k: v for k, v in after.items() if k != "test.idx"} == {
@@ -536,6 +550,21 @@ class TestAnalyzeModes:
         out = tmp_path / "profile.json"
         assert main(["analyze", "--kg", str(kg_dir), "--mode", "uninformed", "--out", str(out)]) == 0
         assert profiled == ["uninformed"]
+
+    @pytest.mark.parametrize("mode", ["both", "uninformed", "informed"])
+    def test_each_projection_is_built_once(self, kg_dir, tmp_path, monkeypatch, mode):
+        from kgbench import kg
+
+        projected = []
+        project_graph = kg.project_graph
+
+        def recording(graph, projection):
+            projected.append(projection)
+            return project_graph(graph, projection)
+
+        monkeypatch.setattr(kg, "project_graph", recording)
+        assert main(["analyze", "--kg", str(kg_dir), "--mode", mode, "--out", str(tmp_path / "profile.json")]) == 0
+        assert sorted(projected) == ["informed", "uninformed"]
 
 
 class TestConfigFile:

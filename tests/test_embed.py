@@ -12,7 +12,6 @@ from kgbench.embed import (
     batch_gradients,
     batch_loss,
     checkpoint_path,
-    export_features,
     sample_negatives,
     score_complex,
     score_distmult,
@@ -338,25 +337,25 @@ class TestCheckpoints:
 class TestFeatureExport:
     def test_complex_concatenates_real_and_imaginary(self):
         m = EmbeddingModel.initialize("complex", 6, 2, 10, seed=0)
-        feats = export_features(m, [0, 1, 2])
+        feats = m.feature_matrix([0, 1, 2])
         assert feats.shape == (3, 20)
         assert np.array_equal(feats[:, :10], m.entity_re[:3])
         assert np.array_equal(feats[:, 10:], m.entity_im[:3])
 
     def test_transe_width_is_dim(self):
         m = EmbeddingModel.initialize("transe", 6, 2, 50, seed=0)
-        assert export_features(m, [0]).shape == (1, 50)
+        assert m.feature_matrix([0]).shape == (1, 50)
 
     def test_rows_are_exact_projections(self):
         m = EmbeddingModel.initialize("distmult", 6, 2, 7, seed=0)
-        feats = export_features(m, [4, 2])
+        feats = m.feature_matrix([4, 2])
         assert np.array_equal(feats[0], m.entity_re[4])
         assert np.array_equal(feats[1], m.entity_re[2])
 
     def test_unknown_entity(self):
         m = EmbeddingModel.initialize("transe", 4, 1, 3, seed=0)
         with pytest.raises(DataError, match="unknown entity"):
-            export_features(m, [9])
+            m.feature_matrix([9])
 
     def test_csv_header(self, tmp_path):
         m = EmbeddingModel.initialize("transe", 3, 1, 2, seed=0)

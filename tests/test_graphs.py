@@ -27,6 +27,8 @@ from kgbench.graphs import (
 from kgbench.kg import KnowledgeGraph, ingest_triples, project_graph
 from conftest import random_kg
 from oracles import (
+    ReferenceGraph,
+    edges_of,
     oracle_all_pairs,
     oracle_assortativity,
     oracle_avg_neighbor_degree,
@@ -39,45 +41,38 @@ from oracles import (
     oracle_node_connectivity,
     random_connected_graph,
     reference_closeness_mean,
+    reference_components,
     reference_ecc_radius_diameter,
+    reference_profile_graph,
 )
 
 
 def graph_from_adj(adj) -> UndirectedGraph:
-    g = UndirectedGraph()
-    for v in range(len(adj)):
-        g.add_node(v)
-        for u in adj[v]:
-            g.add_edge(v, u)
-    return g
+    return UndirectedGraph([(v, u) for v in range(len(adj)) for u in adj[v]], nodes=range(len(adj)))
+
+
+def _path_edges(n):
+    return [(i, i + 1) for i in range(n - 1)]
 
 
 def _path(n):
-    g = UndirectedGraph()
-    for i in range(n - 1):
-        g.add_edge(i, i + 1)
-    return g
+    return UndirectedGraph(_path_edges(n))
 
 
 def _cycle(n):
-    g = _path(n)
-    g.add_edge(n - 1, 0)
-    return g
+    return UndirectedGraph(_path_edges(n) + [(n - 1, 0)])
+
+
+def _complete_edges(n):
+    return [(u, v) for u in range(n) for v in range(u + 1, n)]
 
 
 def _complete(n):
-    g = UndirectedGraph()
-    for u in range(n):
-        for v in range(u + 1, n):
-            g.add_edge(u, v)
-    return g
+    return UndirectedGraph(_complete_edges(n))
 
 
 def _star(leaves):
-    g = UndirectedGraph()
-    for i in range(1, leaves + 1):
-        g.add_edge(0, i)
-    return g
+    return UndirectedGraph([(0, i) for i in range(1, leaves + 1)])
 
 
 class TestFixedValues:
@@ -115,9 +110,7 @@ class TestFixedValues:
         assert degree_assortativity(_complete(4)) is None
 
     def test_tree_connectivity(self):
-        g = UndirectedGraph()
-        for u, v in [(0, 1), (1, 2), (1, 3), (3, 4)]:
-            g.add_edge(u, v)
+        g = UndirectedGraph([(0, 1), (1, 2), (1, 3), (3, 4)])
         assert connectivity(g) == (1, 1)
 
     def test_cycle_c5_connectivity(self):
@@ -127,15 +120,12 @@ class TestFixedValues:
         assert connectivity(_complete(4)) == (3, 3)
 
     def test_triangle_plus_pendant_cliques(self):
-        g = _complete(3)
-        g.add_edge(2, 3)
+        g = UndirectedGraph(_complete_edges(3) + [(2, 3)])
         stats = cliques(g)
         assert (stats.max_size, stats.count) == (3, 2)
 
     def test_edgeless_cliques(self):
-        g = UndirectedGraph()
-        for v in range(6):
-            g.add_node(v)
+        g = UndirectedGraph([], nodes=range(6))
         stats = cliques(g)
         assert (stats.max_size, stats.count) == (1, 6)
 
@@ -144,19 +134,15 @@ class TestFixedValues:
         assert stats.truncated
 
     def test_disconnected_eccentricity_is_an_error(self):
-        g = UndirectedGraph()
-        g.add_edge(0, 1)
-        g.add_node(5)
+        g = UndirectedGraph([(0, 1)], nodes=[5])
         with pytest.raises(DataError, match="disconnected"):
             eccentricity_radius_diameter(g)
 
     def test_self_loop_degree_counted_once(self):
-        g = UndirectedGraph()
-        g.add_edge(0, 0)
-        g.add_edge(0, 1)
-        assert g.degree(0) == 2
+        g = UndirectedGraph([(0, 0), (0, 1)])
+        assert g.degrees.tolist() == [2, 1]
         assert g.n_edges == 2
-        assert g.neighbors(0) == {1}
+        assert graphs._neighbor_lists(g) == {0: [1], 1: [0]}
 
 
 class TestOracleSweep:
@@ -214,14 +200,10 @@ class TestDistanceKernel:
         rng = np.random.default_rng(seed)
         adj = random_connected_graph(rng, n, extra_edge_prob=2.0 / n)
         node = (lambda v: 7 * v + 3) if sparse_ids else (lambda v: v)
-        g = UndirectedGraph()
-        for v in range(n):
-            g.add_node(node(v))
-            for u in adj[v]:
-                g.add_edge(node(v), node(u))
+        edges = [(node(v), node(u)) for v in range(n) for u in adj[v]]
         if self_loops:
-            for v in rng.choice(n, size=max(1, n // 4), replace=False).tolist():
-                g.add_edge(node(v), node(v))
+            edges += [(node(v), node(v)) for v in rng.choice(n, size=max(1, n // 4), replace=False).tolist()]
+        g = UndirectedGraph(edges, nodes=[node(v) for v in range(n)])
         with pytest.MonkeyPatch.context() as mp:
             if one_word:
                 mp.setattr(graphs, "_BFS_BLOCK_BYTES", 1)
@@ -237,17 +219,76 @@ class TestDistanceKernel:
             assert eccentricity_radius_diameter(g) == reference_ecc_radius_diameter(g)
             assert closeness_centrality_mean(g) == reference_closeness_mean(g)
 
+    def test_one_pass_per_component(self, monkeypatch):
+        computed = []
+        kernel = graphs._distance_arrays
+
+        def recording(g):
+            computed.append(g._distances is None)
+            return kernel(g)
+
+        monkeypatch.setattr(graphs, "_distance_arrays", recording)
+        profile_graph(UndirectedGraph(_path_edges(5) + [(10, 11), (11, 12)]), "uninformed")
+        assert computed == [True, False, True, False]  # closeness, then eccentricity, per component
+
     @pytest.mark.parametrize("n", [65, 129])
     @pytest.mark.parametrize("one_word", [False, True])
     def test_disconnected_part_in_a_later_block_raises(self, monkeypatch, n, one_word):
-        g = _path(n)
-        g.add_node(n + 5)  # an isolated node: its CSR row is empty
-        g.add_edge(n + 10, n + 11)  # the last sources, in a component of their own
+        # an isolated node, whose CSR row is empty, and the last sources in a component of their own
+        g = UndirectedGraph(_path_edges(n) + [(n + 10, n + 11)], nodes=[n + 5])
         if one_word:
             monkeypatch.setattr(graphs, "_BFS_BLOCK_BYTES", 1)
         for metric in (graphs._distance_arrays, eccentricity_radius_diameter, closeness_centrality_mean):
             with pytest.raises(DataError, match="disconnected"):
                 metric(g)
+
+
+@st.composite
+def random_graphs(draw):
+    """(edges, nodes) of a random graph: several random connected components
+    (single nodes among them), sizes that cross 64, self-loops, and node ids
+    that are sparse or interleave the components."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sizes = draw(st.lists(st.one_of(st.integers(1, 6), st.integers(60, 80)), min_size=1, max_size=5))
+    n = sum(sizes)
+    ids = rng.choice(10**6, size=n, replace=False) if draw(st.booleans()) else rng.permutation(n)
+    density = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    edges, base = [], 0
+    for size in sizes:
+        adj = random_connected_graph(rng, size, extra_edge_prob=density * 4 / (size + 3))
+        edges += [(int(ids[base + u]), int(ids[base + v])) for u, v in edges_of(adj)]
+        base += size
+    loops = ids[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))]
+    edges += [(int(v), int(v)) for v in loops]
+    return edges, ids.tolist()
+
+
+class TestReferencePath:
+    """The CSR graph and its metrics against the dict-of-set reference path
+    that they replaced, and the triangle counts against a brute-force count."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(graph=random_graphs(), node_guard=st.integers(1, 39), pairs=st.integers(1, 3))
+    def test_profile_equals_reference_path(self, graph, node_guard, pairs):
+        edges, nodes = graph
+        g, ref = UndirectedGraph(edges, nodes), ReferenceGraph(edges, nodes)
+        assert (g.nodes(), g.n_edges) == (ref.nodes(), ref.n_edges)
+        assert g.degrees.tolist() == [ref.degree(v) for v in ref.nodes()]
+        assert g.ids[g.loops].tolist() == [v for v in ref.nodes() if v in ref.adj[v]]
+        comps = graphs.connected_components(g)
+        for comp, ref_comp in zip(comps, reference_components(ref), strict=True):
+            assert graphs._neighbor_lists(comp) == {v: sorted(ref_comp.neighbors(v)) for v in ref_comp.nodes()}
+            assert comp.ids[comp.loops].tolist() == [v for v in ref_comp.nodes() if v in ref_comp.adj[v]]
+
+        adj = np.zeros((g.n_nodes, g.n_nodes), dtype=np.int64)  # no self-loops on the diagonal
+        row = np.repeat(np.arange(g.n_nodes), np.diff(g.indptr))
+        adj[row, g.indices] = 1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_TRIANGLE_PAIRS", pairs)
+            assert graphs._triangles(g).tolist() == (((adj @ adj) * adj).sum(axis=1) // 2).tolist()
+            got = profile_graph(g, "uninformed", node_guard).to_dict()
+        want = reference_profile_graph(ref, "uninformed", node_guard).to_dict()
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 class TestProfile:
@@ -322,6 +363,10 @@ class TestProfile:
         assert json.dumps(profile_kg(kg).to_dict(), sort_keys=True) == fast
 
 
+def _meta(kg):
+    return meta_properties(kg, project_graph(kg, "uninformed"), project_graph(kg, "informed"))
+
+
 class TestMetaProperties:
     def _attr_kg(self, n_attr, n_rel):
         kg = KnowledgeGraph()
@@ -333,14 +378,14 @@ class TestMetaProperties:
         return kg
 
     def test_hepatitis_shaped_edge_reduction(self):
-        meta = meta_properties(self._attr_kg(87, 13))
+        meta = _meta(self._attr_kg(87, 13))
         assert meta.edge_reduction == pytest.approx(0.87)
         assert meta.n_attributes == 1
         assert meta.n_relations == 1
 
     def test_no_attributes(self):
         kg = ingest_triples(["a\tr\tb", "b\tr\tc"], "train")
-        meta = meta_properties(kg)
+        meta = _meta(kg)
         assert meta.edge_reduction == 0.0
         assert meta.degree_proportion == 1.0
 
@@ -356,7 +401,7 @@ class TestMetaProperties:
                 k += 1
         assert k == 15
         kg.mark_attribute("has_value")
-        meta = meta_properties(kg)
+        meta = _meta(kg)
         uninf = project_graph(kg, "uninformed")
         inf = project_graph(kg, "informed")
         assert uninf.n_edges == 20
@@ -366,7 +411,7 @@ class TestMetaProperties:
 
     def test_empty_uninformed_graph_is_an_error(self):
         with pytest.raises(DataError):
-            meta_properties(KnowledgeGraph())
+            _meta(KnowledgeGraph())
 
     def test_informed_node_count_never_exceeds_uninformed(self):
         rng = np.random.default_rng(23)

@@ -14,6 +14,7 @@ from kgbench.ranking import evaluate
 from kgbench.rules import (
     Atom,
     HornRule,
+    RuleScorer,
     coverage_bin_label,
     connected_relations,
     filter_degenerate,
@@ -22,7 +23,6 @@ from kgbench.rules import (
     mine_all,
     mine_rules,
     parse_rule_line,
-    rule_scorer,
     save_theories,
     theory_analytics,
 )
@@ -238,7 +238,7 @@ class TestMiningOracle:
     def test_scores_match_oracle(self, kg, depth, recursion, known_train, entries):
         with mock.patch.object(rules, "_JOIN_ENTRIES", entries):
             theories = {t: mine_rules(kg, t, depth, allow_recursion=recursion) for t in range(kg.n_relations)}
-        scorer = rule_scorer(theories, kg, score_known_train=known_train)
+        scorer = RuleScorer(theories, kg, score_known_train=known_train)
         for rel in range(kg.n_relations):
             for anchor in range(kg.n_entities):
                 tails = oracle_rule_scores(kg, theories, rel, anchor, "tail", known_train)
@@ -263,13 +263,13 @@ class TestRuleScorer:
     def test_max_aggregation(self):
         kg = ingest_triples(["a\tr1\tb", "a\tr2\tb", "x\tt\ty"], "train")
         target = kg.relations.id("t")
-        scorer = rule_scorer(self._two_rule_theory(kg, target), kg)
+        scorer = RuleScorer(self._two_rule_theory(kg, target), kg)
         assert scorer.score(target, kg.entities.id("a"), kg.entities.id("b")) == 0.9
 
     def test_no_rule_fires_scores_zero(self):
         kg = ingest_triples(["a\tr1\tb", "x\tt\ty"], "train")
         target = kg.relations.id("t")
-        scorer = rule_scorer({}, kg)
+        scorer = RuleScorer({}, kg)
         assert scorer.score(target, 0, 1) == 0.0
 
     def test_monotone_in_theories(self):
@@ -277,8 +277,8 @@ class TestRuleScorer:
         target = kg.relations.id("t")
         theories = self._two_rule_theory(kg, target)
         one_rule = {target: type(theories[target])(target, "t", [theories[target].rules[1]])}
-        s_small = rule_scorer(one_rule, kg)
-        s_big = rule_scorer(theories, kg)
+        s_small = RuleScorer(one_rule, kg)
+        s_big = RuleScorer(theories, kg)
         for h in range(kg.n_entities):
             for t in range(kg.n_entities):
                 assert s_big.score(target, h, t) >= s_small.score(target, h, t)
@@ -287,7 +287,7 @@ class TestRuleScorer:
         rng = np.random.default_rng(35)
         kg = random_kg(rng, 12, 3, 40, "train")
         theories = mine_all(kg, max_body_len=2)
-        scorer = rule_scorer(theories, kg)
+        scorer = RuleScorer(theories, kg)
         for rel in range(kg.n_relations):
             for anchor in range(0, 12, 3):
                 tails = oracle_rule_scores(kg, theories, rel, anchor, "tail", False)
@@ -301,7 +301,7 @@ class TestRuleScorer:
     def test_score_known_train_flag(self):
         kg = ingest_triples(["a\tt\tb"], "train")
         target = kg.relations.id("t")
-        scorer = rule_scorer({}, kg, score_known_train=True)
+        scorer = RuleScorer({}, kg, score_known_train=True)
         assert scorer.score(target, kg.entities.id("a"), kg.entities.id("b")) == 1.0
         assert scorer.score_tails(target, kg.entities.id("a"))[kg.entities.id("b")] == 1.0
 
@@ -312,7 +312,7 @@ class TestRuleScorer:
         top = theory.rules[0]
         assert str(top) == "r2(X,Y) :- r1(X,Y)."
         assert top.confidence == 1.0
-        scorer = rule_scorer({r2: theory}, kg)
+        scorer = RuleScorer({r2: theory}, kg)
         # every held-out triple scores 1.0; corrupted candidates score below
         for triple in kg.triples("test")[:20]:
             assert scorer.score(triple.relation, triple.head, triple.tail) == 1.0
@@ -430,7 +430,7 @@ class TestRuleFiles:
         path = tmp_path / "rules.tsv"
         save_theories(theories, path)
         loaded = load_theories(path, kg)
-        scorer = rule_scorer(loaded, kg)
+        scorer = RuleScorer(loaded, kg)
         result = evaluate(scorer, kg, split="test", rank_mode="expected")
         assert result.hits[1] == 1.0
 
@@ -446,6 +446,6 @@ class TestRuleFiles:
         (tmp_path / "rules.tsv").write_text(line + "\n")
         theories = load_theories(tmp_path / "rules.tsv", kg)
         target = kg.relations.id("t")
-        scorer = rule_scorer(theories, kg)
+        scorer = RuleScorer(theories, kg)
         # r(b, a) holds, so inv_r(a, b) fires for t(a, b)
         assert scorer.score(target, kg.entities.id("a"), kg.entities.id("b")) == 1.0
