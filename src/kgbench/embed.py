@@ -14,15 +14,16 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DataError, NumericError
-from .kg import KnowledgeGraph, Triple
+from .kg import KnowledgeGraph, Triple, _distinct
 
 MODEL_KINDS = ("transe", "distmult", "complex")
 _KIND_CODE = {k: i for i, k in enumerate(MODEL_KINDS)}
+_PARAMS = ("entity_re", "relation_re", "entity_im", "relation_im")  # the last two are None unless ComplEx
 CKPT_MAGIC = b"KGE1"
 
 DIM_GRID = (10, 20, 30, 50, 80, 100)
@@ -303,6 +304,11 @@ def score_complex(m: EmbeddingModel, t: Triple) -> float:
 # -- negative sampling -----------------------------------------------------------
 
 
+_MAX_RETRIES = 100
+_WINDOW = 128  # attempts tested per searchsorted in _sample_batch
+_LOW = 0xFFFFFFFF
+
+
 @dataclass
 class SamplerStats:
     forced_accepts: int = 0
@@ -314,7 +320,7 @@ def sample_negatives(
     k: int,
     rng: np.random.Generator,
     stats: SamplerStats | None = None,
-    max_retries: int = 100,
+    max_retries: int = _MAX_RETRIES,
 ) -> list[tuple[int, int, int]]:
     """k corrupted (head, relation, tail) tuples of the triple t, replacing
     head or tail (fair coin) with a uniform entity; known-true candidates
@@ -339,6 +345,109 @@ def sample_negatives(
             stats.forced_accepts += 1
         out.append(cand)
     return out
+
+
+def _decode_attempts(raws: np.ndarray, buffered: int, high: int, n: int) -> tuple[np.ndarray, ...]:
+    """The attempts of sample_negatives' loop that the raw PCG64 outputs
+    `raws` complete, drawn from a generator whose 32-bit buffer holds
+    (`buffered`, `high`): its state's has_uint32 and uinteger.
+
+    An attempt draws rng.random() < 0.5, which takes a fresh 64-bit output
+    and is true when its top bit is 0, then rng.integers(0, n), which takes
+    a 32-bit half x: the buffered one, or else the low half of a fresh output,
+    whose high half it buffers. So two attempts take three outputs. The
+    entity is (x * n) >> 32, unless (x * n) mod 2**32 < 2**32 % n: Lemire's
+    method then draws another half, which shifts the pattern by one half, so
+    the decode starts again after that attempt. rng.integers(0, 1) draws
+    nothing.
+
+    Per attempt: corrupt_head, entity, the number of outputs used up to its
+    end, and has_uint32 and uinteger after it.
+    """
+    if n == 1:
+        m = len(raws)
+        return raws >> 63 == 0, np.zeros(m, np.int64), np.arange(1, m + 1), np.full(m, buffered), np.full(m, high, np.uint64)
+    parts, q, thr = [], 0, (1 << 32) % n
+    while True:
+        rest = raws[q:]
+        # with a buffered half, decode as if two outputs came first, the second with that high half
+        v = np.concatenate([np.array([0, high << 32], np.uint64), rest]) if buffered else rest
+        a = np.arange(buffered, 2 * (len(v) // 3) + 2)
+        j, odd = a >> 1, a & 1  # attempt 2j takes the coin v[3j] and half lo(v[3j+1]); 2j+1 takes v[3j+2], hi(v[3j+1])
+        keep = 3 * j + 1 + odd < len(v)
+        j, odd = j[keep], odd[keep]
+        mid = v[3 * j + 1]
+        prod = np.where(odd == 1, mid >> 32, mid & _LOW) * np.uint64(n)
+        used = q + 3 * j + 2 + odd - 2 * buffered
+        heads = v[3 * j + 2 * odd] >> 63 == 0
+        rejected = np.flatnonzero((prod & _LOW) < thr)
+        m = int(rejected[0]) if len(rejected) else len(j)
+        parts.append((heads[:m], (prod[:m] >> 32).astype(np.int64), used[:m], 1 - odd[:m], mid[:m] >> 32))
+        if m == len(j):
+            break
+        # attempt m drew a rejected half: draw halves until one is accepted
+        q, buffered, high = int(used[m]), int(1 - odd[m]), int(mid[m]) >> 32
+        while True:
+            if buffered:
+                x, buffered = high, 0
+            elif q < len(raws):
+                x, high, buffered, q = int(raws[q]) & _LOW, int(raws[q]) >> 32, 1, q + 1
+            else:
+                return tuple(np.concatenate(c) for c in zip(*parts))
+            if (x * n) & _LOW >= thr:
+                break
+        parts.append(([heads[m]], [(x * n) >> 32], [q], [buffered], np.array([high], np.uint64)))
+    return tuple(np.concatenate(c) for c in zip(*parts))
+
+
+def _sample_batch(
+    kg: KnowledgeGraph, batch: np.ndarray, k: int, rng: np.random.Generator, stats: SamplerStats
+) -> np.ndarray:
+    """sample_negatives(kg, t, k, rng, stats) for each row t of `batch`, as
+    one (B, k, 3) array: the same candidates from the same attempts, and the
+    PCG64 generator `rng` left in the state the scalar loop leaves it in.
+
+    The attempts are decoded from raw outputs. Slot i is the i-th negative
+    of the batch. A window of attempts p, p + 1, ... is tested for slots
+    s, s + 1, ... in one searchsorted, up to the first known-true candidate;
+    its slot then tries the next attempt, and a new window starts there.
+    """
+    n, n_rel, known = kg.n_entities, kg.n_relations, kg.sorted_keys()
+    slots = np.repeat(batch, k, axis=0)
+    h, r, t = slots[:, 0], slots[:, 1], slots[:, 2]
+    bg = rng.bit_generator
+    start = bg.state
+    raws = np.zeros(0, np.uint64)
+    heads = np.zeros(0, bool)
+    take = np.empty(len(slots), dtype=np.int64)
+    s = p = tries = 0
+    while s < len(slots):
+        w = min(_WINDOW, len(slots) - s)
+        while len(heads) < p + w:  # an attempt takes about 1.5 outputs; each extension doubles the draw
+            raws = np.concatenate([raws, bg.random_raw(2 * len(slots) + len(raws) + _WINDOW)])
+            heads, ents, used, buffered, high = _decode_attempts(raws, start["has_uint32"], start["uinteger"], n)
+        e, i = ents[p : p + w], slice(s, s + w)
+        key = np.where(heads[p : p + w], (e * n_rel + r[i]) * n + t[i], (h[i] * n_rel + r[i]) * n + e)
+        rejected = known[np.minimum(np.searchsorted(known, key), len(known) - 1)] == key
+        if tries == _MAX_RETRIES - 1 and rejected[0]:  # slot s accepts its last try anyway
+            rejected[0] = False
+            stats.forced_accepts += 1
+        j = int(rejected.argmax()) if rejected.any() else w
+        if j:
+            tries = 0
+        take[s : s + j] = np.arange(p, p + j)
+        s, p = s + j, p + j
+        if j < w:  # slot s rejects attempt p
+            tries, p = tries + 1, p + 1
+    bg.state = start
+    bg.random_raw(int(used[p - 1]))
+    state = bg.state
+    state["has_uint32"], state["uinteger"] = int(buffered[p - 1]), int(high[p - 1])
+    bg.state = state
+    out, head = slots.copy(), heads[take]
+    out[head, 0] = ents[take][head]
+    out[~head, 2] = ents[take][~head]
+    return out.reshape(len(batch), k, 3)
 
 
 # -- losses and gradients ----------------------------------------------------------
@@ -372,8 +481,7 @@ def batch_loss(
     B*(1+K) atoms of log(1 + exp(-y * psi)) + reg * (squared norms of the
     atom's vectors), y = +1 for positives and -1 for corruptions.
     """
-    loss, _ = _loss_and_grads(model, positives, negatives, cfg, want_grads=False)
-    return loss
+    return _loss_terms(model, positives, negatives, cfg, want_grads=False)[0]
 
 
 def batch_gradients(
@@ -383,7 +491,11 @@ def batch_gradients(
     cfg: TrainConfig,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and dense analytic gradients w.r.t. every parameter matrix."""
-    return _loss_and_grads(model, positives, negatives, cfg, want_grads=True)
+    loss, terms = _loss_terms(model, positives, negatives, cfg, want_grads=True)
+    grads = {name: np.zeros_like(getattr(model, name)) for name in _PARAMS if getattr(model, name) is not None}
+    for name, index, values in terms:
+        np.add.at(grads[name], index, values())
+    return loss, grads
 
 
 def _flat_atoms(positives: np.ndarray, negatives: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -394,21 +506,17 @@ def _flat_atoms(positives: np.ndarray, negatives: np.ndarray) -> tuple[np.ndarra
     return atoms, labels
 
 
-def _loss_and_grads(
+def _loss_terms(
     model: EmbeddingModel,
     positives: np.ndarray,
     negatives: np.ndarray,
     cfg: TrainConfig,
     want_grads: bool,
-) -> tuple[float, dict[str, np.ndarray]]:
-    grads: dict[str, np.ndarray] = {}
-    if want_grads:
-        grads["entity_re"] = np.zeros_like(model.entity_re)
-        grads["relation_re"] = np.zeros_like(model.relation_re)
-        if model.kind == "complex":
-            grads["entity_im"] = np.zeros_like(model.entity_im)
-            grads["relation_im"] = np.zeros_like(model.relation_im)
-
+) -> tuple[float, list[tuple[str, np.ndarray, Callable[[], np.ndarray]]]]:
+    """The batch loss and, with want_grads, the gradient as terms
+    (parameter matrix, row indices, gradient rows). A matrix's gradient row
+    is the sum of the rows its terms give at its index, taken in term order.
+    Each term computes its rows when called, so that one is held at a time."""
     if model.kind == "transe":
         b, k = negatives.shape[0], negatives.shape[1]
         pos_rep = np.repeat(positives, k, axis=0)
@@ -422,23 +530,24 @@ def _loss_and_grads(
         margins = cfg.margin + np_norm - nn_norm  # = margin - psi(pos) + psi(neg)
         active = margins > 0
         loss = float(np.where(active, margins, 0.0).sum() / n_pairs)
-        if want_grads and active.any():
-            # d||d||/dd = d/||d||; guard zero norms (subgradient 0 there)
-            up = np.zeros_like(dp)
-            un = np.zeros_like(dn)
-            nz = np_norm > 0
-            up[nz & active] = dp[nz & active] / np_norm[nz & active, None]
-            nz = nn_norm > 0
-            un[nz & active] = dn[nz & active] / nn_norm[nz & active, None]
-            scale = 1.0 / n_pairs
-            ge, gr = grads["entity_re"], grads["relation_re"]
-            np.add.at(ge, pos_rep[:, 0], scale * up)
-            np.add.at(gr, pos_rep[:, 1], scale * up)
-            np.add.at(ge, pos_rep[:, 2], -scale * up)
-            np.add.at(ge, neg[:, 0], -scale * un)
-            np.add.at(gr, neg[:, 1], -scale * un)
-            np.add.at(ge, neg[:, 2], scale * un)
-        return loss, grads
+        if not (want_grads and active.any()):
+            return loss, []
+        # d||d||/dd = d/||d||; guard zero norms (subgradient 0 there)
+        up = np.zeros_like(dp)
+        un = np.zeros_like(dn)
+        nz = np_norm > 0
+        up[nz & active] = dp[nz & active] / np_norm[nz & active, None]
+        nz = nn_norm > 0
+        un[nz & active] = dn[nz & active] / nn_norm[nz & active, None]
+        scale = 1.0 / n_pairs
+        return loss, [
+            ("entity_re", pos_rep[:, 0], lambda: scale * up),
+            ("relation_re", pos_rep[:, 1], lambda: scale * up),
+            ("entity_re", pos_rep[:, 2], lambda: -scale * up),
+            ("entity_re", neg[:, 0], lambda: -scale * un),
+            ("relation_re", neg[:, 1], lambda: -scale * un),
+            ("entity_re", neg[:, 2], lambda: scale * un),
+        ]
 
     atoms, labels = _flat_atoms(positives, negatives)
     n_atoms = len(atoms)
@@ -451,13 +560,14 @@ def _loss_and_grads(
         z = -labels * psi
         reg = lam * ((eh * eh).sum(axis=1) + (er * er).sum(axis=1) + (et * et).sum(axis=1))
         loss = float((_softplus(z) + reg).sum() / n_atoms)
-        if want_grads:
-            gpsi = (-labels * _sigmoid(z)) / n_atoms
-            ge, gr = grads["entity_re"], grads["relation_re"]
-            np.add.at(ge, h, gpsi[:, None] * (er * et) + (2 * lam / n_atoms) * eh)
-            np.add.at(gr, r, gpsi[:, None] * (eh * et) + (2 * lam / n_atoms) * er)
-            np.add.at(ge, t, gpsi[:, None] * (eh * er) + (2 * lam / n_atoms) * et)
-        return loss, grads
+        if not want_grads:
+            return loss, []
+        gpsi = (-labels * _sigmoid(z)) / n_atoms
+        return loss, [
+            ("entity_re", h, lambda: gpsi[:, None] * (er * et) + (2 * lam / n_atoms) * eh),
+            ("relation_re", r, lambda: gpsi[:, None] * (eh * et) + (2 * lam / n_atoms) * er),
+            ("entity_re", t, lambda: gpsi[:, None] * (eh * er) + (2 * lam / n_atoms) * et),
+        ]
 
     # complex
     Er, Ei, Rr, Ri = model.entity_re, model.entity_im, model.relation_re, model.relation_im
@@ -474,16 +584,67 @@ def _loss_and_grads(
     sq = lambda a: (a * a).sum(axis=1)  # noqa: E731
     reg = lam * (sq(hr) + sq(hi) + sq(rr) + sq(ri) + sq(tr) + sq(ti))
     loss = float((_softplus(z) + reg).sum() / n_atoms)
-    if want_grads:
-        gpsi = ((-labels * _sigmoid(z)) / n_atoms)[:, None]
-        reg2 = 2 * lam / n_atoms
-        np.add.at(grads["entity_re"], h, gpsi * (rr * tr + ri * ti) + reg2 * hr)
-        np.add.at(grads["entity_im"], h, gpsi * (rr * ti - ri * tr) + reg2 * hi)
-        np.add.at(grads["relation_re"], r, gpsi * (hr * tr + hi * ti) + reg2 * rr)
-        np.add.at(grads["relation_im"], r, gpsi * (hr * ti - hi * tr) + reg2 * ri)
-        np.add.at(grads["entity_re"], t, gpsi * (rr * hr - ri * hi) + reg2 * tr)
-        np.add.at(grads["entity_im"], t, gpsi * (rr * hi + ri * hr) + reg2 * ti)
-    return loss, grads
+    if not want_grads:
+        return loss, []
+    gpsi = ((-labels * _sigmoid(z)) / n_atoms)[:, None]
+    reg2 = 2 * lam / n_atoms
+    return loss, [
+        ("entity_re", h, lambda: gpsi * (rr * tr + ri * ti) + reg2 * hr),
+        ("entity_im", h, lambda: gpsi * (rr * ti - ri * tr) + reg2 * hi),
+        ("relation_re", r, lambda: gpsi * (hr * tr + hi * ti) + reg2 * rr),
+        ("relation_im", r, lambda: gpsi * (hr * ti - hi * tr) + reg2 * ri),
+        ("entity_re", t, lambda: gpsi * (rr * hr - ri * hi) + reg2 * tr),
+        ("entity_im", t, lambda: gpsi * (rr * hi + ri * hr) + reg2 * ti),
+    ]
+
+
+_LEVEL_ROWS = 16  # below this many rows, a level costs more than adding its rows one by one
+
+
+def _add_rows(sums: np.ndarray, slot: np.ndarray, values: np.ndarray) -> None:
+    """sums[slot[i]] += values[i] for each i in order: bitwise np.add.at(sums, slot, values).
+
+    One sort of slot * m + i groups the m occurrences by row, each row's in
+    order (a stable argsort costs several times as much). Level l adds every
+    row's l-th occurrence in one fancy-indexed +=. Once a level holds fewer
+    than _LEVEL_ROWS rows, each row left adds its other occurrences with one
+    np.add.accumulate, which also adds in order.
+    """
+    m = len(slot)
+    key = np.sort(slot * m + np.arange(m))
+    at, grouped = key % m, key // m
+    starts = np.flatnonzero(np.diff(grouped, prepend=-1))  # slot >= 0
+    counts = np.diff(starts, append=m)
+    rank = np.arange(m) - np.repeat(starts, counts)
+    by_level = np.argsort(rank)  # a level holds each row at most once, so its order is free
+    ends = np.cumsum(np.bincount(rank))
+    level = lo = 0
+    while level < len(ends) and ends[level] - lo >= _LEVEL_ROWS:
+        pos = by_level[lo : ends[level]]
+        sums[grouped[pos]] += values[at[pos]]
+        level, lo = level + 1, ends[level]
+    for first, count in zip(starts[counts > level], counts[counts > level]):
+        row = grouped[first]
+        rest = values[at[first + level : first + count]]
+        sums[row] = np.add.accumulate(np.concatenate([sums[row : row + 1], rest]), axis=0)[-1]
+
+
+def _sgd_step(model: EmbeddingModel, terms: list[tuple[str, np.ndarray, Callable[[], np.ndarray]]], lr: float) -> None:
+    """_apply_sgd with the gradient of `terms`, on only the rows they touch.
+    Each row's gradient starts from 0.0 and adds its terms' rows in order,
+    as batch_gradients' np.add.at calls do, so the update is bitwise the same."""
+    for name in dict.fromkeys(name for name, _, _ in terms):
+        parts = [(index, values) for n, index, values in terms if n == name]
+        index = np.concatenate([index for index, _ in parts])
+        rows = _distinct(index)
+        slot = np.searchsorted(rows, index)
+        matrix = getattr(model, name)
+        sums = np.zeros((len(rows), matrix.shape[1]))
+        done = 0
+        for part, values in parts:
+            _add_rows(sums, slot[done : done + len(part)], values())
+            done += len(part)
+        matrix[rows] -= lr * sums
 
 
 # -- training ---------------------------------------------------------------------
@@ -535,11 +696,11 @@ def train(
         n_batches = 0
         for bi, start in enumerate(range(0, len(arr), cfg.batch_size)):
             batch = arr[order[start : start + cfg.batch_size]]
-            negs = np.array([sample_negatives(kg, t, k, rng, stats) for t in batch.tolist()], dtype=np.int64)
-            loss, grads = batch_gradients(model, batch, negs, cfg)
+            loss, terms = _loss_terms(model, batch, _sample_batch(kg, batch, k, rng, stats), cfg, want_grads=True)
             if not np.isfinite(loss):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {bi}")
-            _apply_sgd(model, grads, cfg.learning_rate)
+            _sgd_step(model, terms, cfg.learning_rate)
+            del terms  # its closures hold the batch's gathered vectors: free them before the next batch
             epoch_loss += loss
             n_batches += 1
         if cfg.model == "transe":
@@ -556,7 +717,7 @@ def train(
 
 
 def _check_finite_params(model: EmbeddingModel, epoch: int) -> None:
-    for name in ("entity_re", "relation_re", "entity_im", "relation_im"):
+    for name in _PARAMS:
         arr = getattr(model, name)
         if arr is not None and not np.isfinite(arr).all():
             raise NumericError(f"non-finite {name} entries after epoch {epoch}")

@@ -143,7 +143,8 @@ class KnowledgeGraph:
     duplicates within a split are dropped with a warning, duplicates across
     splits are an error. Derived on first use, rebuilt after any change: an
     :class:`Adjacency` of every split, tagged with each entry's index in
-    SPLITS, and the set of triple keys (head * R + relation) * N + tail."""
+    SPLITS, and the triple keys (head * R + relation) * N + tail as a set
+    and as a sorted array."""
 
     def __init__(self) -> None:
         self.entities = Vocab()
@@ -223,6 +224,10 @@ class KnowledgeGraph:
     def known_keys(self) -> set[int]:
         """The key of every known-true triple, for scalar membership tests."""
         return self._derived("keys", lambda: set(self._keys(self.all_rows()).tolist()))
+
+    def sorted_keys(self) -> np.ndarray:
+        """The key of every known-true triple, as a sorted int64 array for batched membership tests."""
+        return self._derived("sorted_keys", lambda: np.sort(self._keys(self.all_rows())))
 
     def adjacent(self, relation: int, anchor: int, side: str) -> tuple[np.ndarray, np.ndarray]:
         """The entities e with (anchor, relation, e) known true (side "tail")

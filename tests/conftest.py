@@ -68,12 +68,12 @@ def random_kg(
         h = int(rng.integers(0, n_entities))
         t = int(rng.integers(0, n_entities))
         r = int(rng.integers(0, n_relations))
-        before = len(kg.known_true)
+        before = len(kg.splits[split])
         try:
             kg.add_triple(f"e{h}", f"r{r}", f"e{t}", split)
         except Exception:
             continue  # duplicate across splits: resample
-        if len(kg.known_true) > before:
+        if len(kg.splits[split]) > before:
             added += 1
     return kg
 

@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own code paths: bitmask subset
 enumeration, Floyd-Warshall, pure-Python loops. They are exponential or
-quadratic and only run on small inputs. The reference path is the
-exception: it keeps the retired dict-of-set graph code as the exact
-reference for its CSR replacement.
+quadratic and only run on small inputs. The reference paths are the
+exception: they keep retired library code as the exact reference for its
+replacement -- the dict-of-set graph code for the CSR graph, and the
+per-triple sampling, dense-gradient training loop for embed.train.
 """
 
 from __future__ import annotations
@@ -15,6 +16,16 @@ from itertools import combinations, product
 
 import numpy as np
 
+from kgbench.embed import (
+    EmbeddingModel,
+    SamplerStats,
+    TrainResult,
+    _apply_sgd,
+    _project_unit_ball,
+    batch_gradients,
+    checkpoint_path,
+    sample_negatives,
+)
 from kgbench.errors import DataError
 from kgbench.graphs import (
     PROPERTY_ORDER,
@@ -663,3 +674,34 @@ def oracle_rule_scores(kg, theories, relation: int, anchor: int, side: str, scor
             if r == relation and a == anchor:
                 out[e] = 1.0
     return out
+
+
+def reference_train(kg, cfg, checkpoint_dir=None) -> TrainResult:
+    """embed.train's former loop: sample_negatives per triple, dense
+    batch_gradients and _apply_sgd per batch. It consumes the generator,
+    saves checkpoints and reports losses and forced accepts as train does."""
+    arr = kg.rows("train")
+    model = EmbeddingModel.initialize(cfg.model, kg.n_entities, kg.n_relations, cfg.dim, cfg.seed)
+    result = TrainResult(model=model)
+    rng = np.random.default_rng(cfg.seed)
+    stats = SamplerStats()
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(len(arr))
+        epoch_loss, n_batches = 0.0, 0
+        for start in range(0, len(arr), cfg.batch_size):
+            batch = arr[order[start : start + cfg.batch_size]]
+            negs = [sample_negatives(kg, t, cfg.negatives_per_positive, rng, stats) for t in batch.tolist()]
+            loss, grads = batch_gradients(model, batch, np.array(negs, dtype=np.int64), cfg)
+            _apply_sgd(model, grads, cfg.learning_rate)
+            epoch_loss += loss
+            n_batches += 1
+        if cfg.model == "transe":
+            _project_unit_ball(model.entity_re)
+        model.epoch = epoch
+        result.epoch_losses.append(epoch_loss / max(n_batches, 1))
+        if checkpoint_dir is not None and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:
+            path = checkpoint_path(checkpoint_dir, cfg, epoch)
+            model.save(path)
+            result.checkpoints.append(path)
+    result.forced_negative_accepts = stats.forced_accepts
+    return result

@@ -1,14 +1,21 @@
 """Embedding models: scoring identities, sampling, training, checkpoints."""
 
 import hashlib
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgbench.embed import (
     EmbeddingModel,
     SamplerStats,
     TrainConfig,
+    _add_rows,
+    _decode_attempts,
+    _sample_batch,
     batch_gradients,
     batch_loss,
     checkpoint_path,
@@ -23,6 +30,7 @@ from kgbench.errors import DataError, NumericError
 from kgbench.kg import KnowledgeGraph, Triple, ingest_triples
 from kgbench.ranking import evaluate, rank_query
 from conftest import build_equivalence_kg, random_kg
+from oracles import reference_train
 
 
 def _model(kind, e_re, r_re, e_im=None, r_im=None):
@@ -189,6 +197,80 @@ class TestNegativeSampling:
         assert stats.forced_accepts > 0
 
 
+def _dense_graph(seed: int, n_entities: int, n_relations: int, density: float) -> KnowledgeGraph:
+    """Each (h, r, t) is a train triple with probability `density` (at least
+    one is); density 1 makes every corruption known-true."""
+    keep = np.random.default_rng(seed).random((n_entities, n_relations, n_entities)) < density
+    keep[0, 0, 0] = True
+    return ingest_triples([f"e{h}\tr{r}\te{t}" for h, r, t in np.argwhere(keep).tolist()], "train")
+
+
+class TestBatchedSampling:
+    # n = 3 * 2**30 and 2**31 + 1 make Lemire's method reject 25% and nearly 50% of the halves
+    sizes = st.one_of(st.sampled_from([1, 2, 14_541, 3 * 2**30, 2**31 + 1, 2**32]), st.integers(1, 2**32))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=sizes, count=st.integers(1, 400), buffered=st.booleans())
+    def test_decoder_replays_scalar_draws(self, seed, n, count, buffered):
+        rng = np.random.default_rng(seed)
+        if buffered:
+            rng.integers(0, 10)  # leaves a 32-bit half in the generator's buffer
+        start = rng.bit_generator.state
+        draws = [(rng.random() < 0.5, int(rng.integers(0, n))) for _ in range(count)]
+        replay = np.random.PCG64()
+        replay.state = start
+        heads, ents, used, has_uint32, uinteger = _decode_attempts(
+            replay.random_raw(4 * count + 16), start["has_uint32"], start["uinteger"], n
+        )
+        assert len(heads) >= count
+        assert list(zip(heads[:count].tolist(), ents[:count].tolist())) == draws
+        replay.state = start
+        replay.random_raw(int(used[count - 1]))
+        state = replay.state
+        state["has_uint32"], state["uinteger"] = int(has_uint32[count - 1]), int(uinteger[count - 1])
+        assert state == rng.bit_generator.state
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        graph_seed=st.integers(0, 2**32 - 1),
+        n_entities=st.integers(1, 12),
+        n_relations=st.integers(1, 3),
+        density=st.sampled_from([0.05, 0.3, 0.9, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 80),  # over _WINDOW slots with k > 1
+        k=st.integers(1, 3),
+        buffered=st.booleans(),
+    )
+    def test_batch_matches_scalar_sampler(self, graph_seed, n_entities, n_relations, density, seed, rows, k, buffered):
+        kg = _dense_graph(graph_seed, n_entities, n_relations, density)
+        rng = np.random.default_rng(seed)
+        if buffered:
+            rng.integers(0, 10)
+        batch = kg.rows("train")[rng.integers(0, len(kg.rows("train")), rows)]
+        scalar_rng, batch_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        scalar_rng.bit_generator.state = batch_rng.bit_generator.state = rng.bit_generator.state
+        scalar_stats, batch_stats = SamplerStats(), SamplerStats()
+        expected = [sample_negatives(kg, t, k, scalar_rng, scalar_stats) for t in batch.tolist()]
+        got = _sample_batch(kg, batch, k, batch_rng, batch_stats)
+        assert got.tolist() == [[list(c) for c in negs] for negs in expected]
+        assert batch_stats == scalar_stats
+        assert batch_rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 60), m=st.integers(1, 400), skew=st.integers(1, 4))
+    def test_add_rows_is_bitwise_add_at(self, seed, n_rows, m, skew):
+        rng = np.random.default_rng(seed)
+        index = (rng.random(m) ** skew * n_rows).astype(np.int64)  # skew > 1 repeats the low rows
+        values = rng.normal(size=(m, 3))
+        values[rng.random((m, 3)) < 0.2] = -0.0
+        values[rng.random((m, 3)) < 0.1] = 0.0
+        dense, sums = np.zeros((n_rows, 3)), np.zeros((n_rows, 3))
+        for part in np.split(np.arange(m), [int(rng.integers(0, m + 1))]):  # a second call continues the sums
+            np.add.at(dense, index[part], values[part])
+            _add_rows(sums, index[part], values[part])
+        assert sums.tobytes() == dense.tobytes()
+
+
 class TestTraining:
     def test_epochs_zero_returns_initialized_model(self):
         kg = ingest_triples(["a\tr\tb", "b\tr\tc"], "train")
@@ -213,6 +295,37 @@ class TestTraining:
             b1 = checkpoint_path(d1, cfg, epoch).read_bytes()
             b2 = checkpoint_path(d2, cfg, epoch).read_bytes()
             assert hashlib.sha256(b1).hexdigest() == hashlib.sha256(b2).hexdigest()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["transe", "distmult", "complex"]),
+        saturated=st.booleans(),
+        graph_seed=st.integers(0, 2**32 - 1),
+        n_entities=st.integers(2, 40),
+        n_triples=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+        batch_size=st.integers(1, 64),
+        k=st.integers(1, 3),
+        learning_rate=st.sampled_from([0.01, 0.5]),
+    )
+    def test_checkpoints_match_reference_loop(
+        self, kind, saturated, graph_seed, n_entities, n_triples, seed, batch_size, k, learning_rate
+    ):
+        if saturated:  # relation r0 holds between every pair: each of its negatives is a forced accept
+            kg = _dense_graph(graph_seed, n_entities % 3 + 1, 1, 1.0)
+            kg = random_kg(np.random.default_rng(graph_seed), kg.n_entities, 2, 1, kg=kg)
+        else:
+            kg = random_kg(np.random.default_rng(graph_seed), n_entities, 3, min(n_triples, 3 * n_entities**2))
+        cfg = TrainConfig(model=kind, dim=4, epochs=3, checkpoint_every=1, seed=seed, batch_size=batch_size,
+                          negatives_per_positive=k, learning_rate=learning_rate)
+        with tempfile.TemporaryDirectory() as d:
+            got = train(kg, cfg, checkpoint_dir=Path(d) / "train")
+            want = reference_train(kg, cfg, checkpoint_dir=Path(d) / "reference")
+            for a, b in zip(got.checkpoints, want.checkpoints, strict=True):
+                assert a.read_bytes() == b.read_bytes()
+        assert got.epoch_losses == want.epoch_losses
+        assert got.forced_negative_accepts == want.forced_negative_accepts
+        assert not saturated or got.forced_negative_accepts > 0
 
     def test_transe_entity_norms_bounded_after_training(self):
         rng = np.random.default_rng(14)
