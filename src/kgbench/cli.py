@@ -436,6 +436,13 @@ def _cmd_classify(args) -> int:
         symbolic_cv,
     )
 
+    if args.features != "rules":
+        try:
+            dims = [int(d) for d in str(args.dims).split(",") if d.strip()]
+        except ValueError:
+            raise DataError(f"--dims must be comma-separated integers, got {args.dims!r}") from None
+        if args.checkpoint_every < 1:
+            raise DataError(f"--checkpoint-every must be at least 1, got {args.checkpoint_every}")
     kg_dir, kg = _load_graph(args)
     labels_path = _resolve_data_path(args.labels)
     with labels_path.open(encoding="utf-8") as fh:
@@ -463,7 +470,6 @@ def _cmd_classify(args) -> int:
         payload["symbolic"] = symbolic.to_dict()
     if args.features != "rules":
         ckpt_dir = Path(args.checkpoint_dir) if args.checkpoint_dir else report_path.parent / "checkpoints"
-        dims = [int(d) for d in str(args.dims).split(",") if d.strip()]
         dist = nested_cv(
             kg,
             labeled,

@@ -4,8 +4,9 @@ These deliberately avoid the library's own code paths: bitmask subset
 enumeration, Floyd-Warshall, pure-Python loops. They are exponential or
 quadratic and only run on small inputs. The reference paths are the
 exception: they keep retired library code as the exact reference for its
-replacement -- the dict-of-set graph code for the CSR graph, and the
-per-triple sampling, dense-gradient training loop for embed.train.
+replacement -- the dict-of-set graph code for the CSR graph, the
+per-triple sampling, dense-gradient training loop for embed.train, and the
+per-point kNN loop and per-grid-point nested CV for the kNN grid kernel.
 """
 
 from __future__ import annotations
@@ -16,6 +17,15 @@ from itertools import combinations, product
 
 import numpy as np
 
+from kgbench.classify import (
+    DEFAULT_INNER_FOLDS,
+    KNN_K_GRID,
+    KNN_WEIGHTS,
+    CVResult,
+    _accuracy,
+    _cell_repr,
+    make_folds,
+)
 from kgbench.embed import (
     EmbeddingModel,
     SamplerStats,
@@ -529,6 +539,93 @@ def oracle_knn(train_X, train_y, test_X, k: int, weighting: str) -> list[int]:
         best = max(votes)
         preds.append(votes.index(best))
     return preds
+
+
+def reference_knn_classify(train_X, train_y, test_X, k: int, weighting: str = "uniform") -> np.ndarray:
+    """The retired per-point kNN loop: one distance row, one stable
+    argsort and one Python vote loop per test point."""
+    train_X = np.asarray(train_X, dtype=np.float64)
+    test_X = np.asarray(test_X, dtype=np.float64)
+    train_y = np.asarray(train_y, dtype=np.int64)
+    if len(train_X) == 0:
+        raise DataError("kNN training set is empty")
+    if not 1 <= k <= len(train_X):
+        raise DataError(f"k={k} must be in [1, {len(train_X)}]")
+    if weighting not in KNN_WEIGHTS:
+        raise DataError(f"unknown weighting: {weighting!r}")
+    n_classes = int(train_y.max()) + 1 if len(train_y) else 0
+    preds = np.empty(len(test_X), dtype=np.int64)
+    for i, x in enumerate(test_X):
+        diff = train_X - x
+        d2 = (diff * diff).sum(axis=1)
+        nbrs = np.argsort(d2, kind="stable")[:k]
+        votes = np.zeros(n_classes, dtype=np.float64)
+        zero = nbrs[d2[nbrs] == 0.0]
+        if weighting == "distance" and len(zero):
+            for j in zero:
+                votes[train_y[j]] += 1.0
+        elif weighting == "distance":
+            for j in nbrs:
+                votes[train_y[j]] += 1.0 / np.sqrt(d2[j])
+        else:
+            for j in nbrs:
+                votes[train_y[j]] += 1.0
+        preds[i] = int(np.argmax(votes))  # argmax returns the smallest index on ties
+    return preds
+
+
+def reference_nested_cv_features(
+    cells: dict,
+    labels: np.ndarray,
+    folds: np.ndarray,
+    inner_folds: int = DEFAULT_INNER_FOLDS,
+    k_grid=KNN_K_GRID,
+    weight_grid=KNN_WEIGHTS,
+    seed: int = 0,
+) -> CVResult:
+    """The retired nested CV: one reference_knn_classify call per
+    (outer fold, cell, k, weighting, inner fold)."""
+    if not cells:
+        raise DataError("no feature cells given")
+    fold_ids = sorted(set(int(f) for f in folds))
+    if len(fold_ids) < 2:
+        raise DataError("need at least 2 outer folds")
+    result = CVResult(fold_accuracies=[], fold_sizes=[])
+    for fold in fold_ids:
+        test_mask = folds == fold
+        train_idx = np.flatnonzero(~test_mask)
+        test_idx = np.flatnonzero(test_mask)
+        y_train = labels[train_idx]
+        inner = make_folds(y_train, min(inner_folds, max(2, len(train_idx))), seed + fold)
+        best = None
+        for cell_key, X in cells.items():
+            X_train = X[train_idx]
+            for k in k_grid:
+                for w in weight_grid:
+                    accs = []
+                    for inner_fold in sorted(set(int(f) for f in inner)):
+                        val_mask = inner == inner_fold
+                        fit_idx = np.flatnonzero(~val_mask)
+                        val_idx = np.flatnonzero(val_mask)
+                        if len(fit_idx) == 0 or len(val_idx) == 0 or k > len(fit_idx):
+                            continue
+                        pred = reference_knn_classify(X_train[fit_idx], y_train[fit_idx], X_train[val_idx], k, w)
+                        accs.append(_accuracy(pred, y_train[val_idx]))
+                    if not accs:
+                        continue
+                    score = float(np.mean(accs))
+                    if best is None or score > best[0]:
+                        best = (score, {"cell": cell_key, "k": k, "weighting": w})
+        if best is None:
+            raise DataError(f"no usable hyperparameter cell for outer fold {fold}")
+        choice = best[1]
+        X = cells[choice["cell"]]
+        k_eff = min(choice["k"], len(train_idx))
+        pred = reference_knn_classify(X[train_idx], y_train, X[test_idx], k_eff, choice["weighting"])
+        result.fold_accuracies.append(_accuracy(pred, labels[test_idx]))
+        result.fold_sizes.append(len(test_idx))
+        result.chosen.append({**choice, "cell": _cell_repr(choice["cell"])})
+    return result
 
 
 # -- triple store oracle -------------------------------------------------------------

@@ -1,11 +1,18 @@
-"""kNN against the exhaustive oracle, nested CV, accuracy differences."""
+"""kNN against the exhaustive oracle and the retired per-point loop,
+nested CV, accuracy differences."""
+
+import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kgbench.classify import (
     KNN_K_GRID,
     KNN_WEIGHTS,
+    _knn_grid,
     accuracy_difference,
     assert_label_free,
     CVResult,
@@ -18,7 +25,7 @@ from kgbench.classify import (
 )
 from kgbench.errors import DataError
 from kgbench.kg import KnowledgeGraph, ingest_triples
-from oracles import oracle_knn
+from oracles import oracle_knn, reference_knn_classify, reference_nested_cv_features
 
 
 def _gaussian_two_class(rng, n=200, dim=5, sep=2.0):
@@ -97,6 +104,112 @@ class TestKnn:
         y = np.zeros(3, dtype=int)
         with pytest.raises(DataError):
             knn_classify(X, y, X, k=4)
+
+    @pytest.mark.parametrize(
+        "train_shape,labels,test_shape",
+        [((3,), 3, (3,)), ((3, 2), 3, (2,)), ((3, 2, 1), 3, (1, 2, 1)), ((3, 2), 3, (1, 3)),
+         ((3, 2), 2, (1, 2)), ((3, 2), 4, (1, 2))],
+        ids=["1-d", "1-d-test", "3-d", "test-columns", "short-labels", "long-labels"],
+    )
+    def test_mismatched_shapes_are_data_errors(self, train_shape, labels, test_shape):
+        y = np.zeros(labels, dtype=int)
+        with pytest.raises(DataError, match=re.escape(f"got {train_shape}, ({labels},) and {test_shape}")):
+            knn_classify(np.zeros(train_shape), y, np.ones(test_shape), k=1)
+
+
+@st.composite
+def knn_inputs(draw):
+    """Training rows drawn with repetition from a pool (duplicate rows), and
+    test rows that are training rows (zero distances), pool rows or fresh
+    points. Integer-valued features tie distances; widths past 128 cross
+    numpy's pairwise-summation block."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=1, max_value=40))
+    dim = draw(st.one_of(st.integers(min_value=1, max_value=6), st.integers(min_value=7, max_value=300)))
+    pool_size = draw(st.integers(min_value=1, max_value=n))
+    if draw(st.booleans()):
+        pool = rng.integers(-2, 3, size=(pool_size, dim)).astype(np.float64)
+        fresh = rng.integers(-2, 3, size=(8, dim)).astype(np.float64)
+    else:
+        pool = rng.normal(size=(pool_size, dim))
+        fresh = rng.normal(size=(8, dim))
+    X = pool[rng.integers(0, pool_size, size=n)]
+    y = rng.integers(0, draw(st.integers(min_value=1, max_value=4)), size=n)
+    sources = [X, pool, fresh]
+    picks = rng.integers(0, 3, size=draw(st.integers(min_value=1, max_value=8)))
+    T = np.array([sources[s][rng.integers(0, len(sources[s]))] for s in picks])
+    return X, y, T
+
+
+# one class outweighs another by one ulp when the 1/d votes are summed in
+# neighbour order (class 0 at squared distances 8, 12, 12; class 1 at 3, 8),
+# and ties with it when summed in reverse
+ULP_VOTES = (
+    np.array([[2.0, 2, 0], [2, 2, 2], [2, -2, 2], [1, 1, 1], [0, 2, 2]]),
+    np.array([0, 0, 0, 1, 1]),
+    np.zeros((1, 3)),
+)
+
+
+class TestKnnGrid:
+    """The grid kernel against the retired per-point loop."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(knn_inputs())
+    @example(ULP_VOTES)
+    def test_every_k_and_weighting_matches_reference(self, inputs):
+        X, y, T = inputs
+        ks = range(1, len(X) + 1)
+        grid = _knn_grid(X, y, T, ks, KNN_WEIGHTS)
+        for i, k in enumerate(ks):
+            for j, w in enumerate(KNN_WEIGHTS):
+                want = reference_knn_classify(X, y, T, k, w)
+                assert grid[i, j].tolist() == want.tolist(), f"k={k} weighting={w}"
+                assert knn_classify(X, y, T, k, w).tolist() == want.tolist(), f"k={k} weighting={w}"
+
+    def test_blocks_of_validation_rows_match_reference(self):
+        # 120 rows of width 300 take 288 KB per validation row: several blocks
+        rng = np.random.default_rng(57)
+        X = rng.integers(-1, 2, size=(120, 300)).astype(np.float64)
+        y = rng.integers(0, 3, size=120)
+        T = np.concatenate([X[:20], rng.integers(-1, 2, size=(20, 300)).astype(np.float64)])
+        ks = (1, 2, 7, 15, 120)
+        grid = _knn_grid(X, y, T, ks, KNN_WEIGHTS)
+        for i, k in enumerate(ks):
+            for j, w in enumerate(KNN_WEIGHTS):
+                assert grid[i, j].tolist() == reference_knn_classify(X, y, T, k, w).tolist()
+
+
+def _cv_outcome(fn, *args, **kwargs) -> str:
+    try:
+        return json.dumps(fn(*args, **kwargs).to_dict(), sort_keys=True)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+@st.composite
+def cv_inputs(draw):
+    """Small labeled sets, so inner folds are often too small for large k,
+    with 1-3 cells of real or integer-valued features and grids that may
+    repeat entries."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=3, max_value=40))
+    labels = rng.integers(0, draw(st.integers(min_value=1, max_value=3)), size=n)
+    if draw(st.booleans()):
+        folds = make_folds(labels, draw(st.integers(min_value=2, max_value=4)), int(rng.integers(100)))
+    else:
+        folds = rng.integers(0, draw(st.integers(min_value=2, max_value=4)), size=n)
+    cells = {}
+    for epoch in range(draw(st.integers(min_value=1, max_value=3))):
+        dim = draw(st.integers(min_value=1, max_value=12))
+        if draw(st.booleans()):
+            cells[(dim, epoch)] = rng.integers(0, 3, size=(n, dim)).astype(np.float64)
+        else:
+            cells[(dim, epoch)] = rng.normal(size=(n, dim))
+    k_grid = tuple(draw(st.lists(st.sampled_from((1, 2, 3, 5, 7, 9, 15)), min_size=1, max_size=4)))
+    weight_grid = tuple(draw(st.lists(st.sampled_from(KNN_WEIGHTS), min_size=1, max_size=3)))
+    inner_folds = draw(st.integers(min_value=2, max_value=4))
+    return cells, labels, folds, inner_folds, k_grid, weight_grid, draw(st.integers(min_value=0, max_value=50))
 
 
 class TestFolds:
@@ -181,6 +294,24 @@ class TestNestedCV:
         assert all(0.0 <= a <= 1.0 for a in res.fold_accuracies)
         weighted = sum(a * n for a, n in zip(res.fold_accuracies, res.fold_sizes)) / sum(res.fold_sizes)
         assert res.mean == pytest.approx(weighted)
+
+
+class TestNestedCVGrid:
+    """nested_cv_features against the retired per-grid-point nested CV."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cv_inputs())
+    def test_matches_reference_as_json(self, inputs):
+        assert _cv_outcome(nested_cv_features, *inputs) == _cv_outcome(reference_nested_cv_features, *inputs)
+
+    def test_no_usable_cell_error_matches_reference(self):
+        labels = np.array([0, 1, 0, 1, 0, 1])
+        folds = np.array([0, 0, 0, 1, 1, 1])
+        cells = {"f": np.arange(12, dtype=np.float64).reshape(6, 2)}
+        args = (cells, labels, folds, 2, (3, 15), KNN_WEIGHTS, 0)
+        got = _cv_outcome(nested_cv_features, *args)
+        assert got == "DataError: no usable hyperparameter cell for outer fold 0"
+        assert got == _cv_outcome(reference_nested_cv_features, *args)
 
 
 class TestSymbolic:

@@ -127,6 +127,34 @@ class TestInputErrors:
         assert message in capsys.readouterr().err
 
 
+class TestClassifyInputErrors:
+    """Bad classify inputs exit 2 with a data error, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "extra,message",
+        [
+            (["--folds", "FOLDS"], "folds.tsv:2: fold id 'x' is not an integer"),
+            (["--dims", "10,x"], "--dims must be comma-separated integers, got '10,x'"),
+            (["--checkpoint-every", "0"], "--checkpoint-every must be at least 1, got 0"),
+        ],
+        ids=["non-integer-fold", "non-integer-dim", "zero-checkpoint-every"],
+    )
+    def test_bad_input_exits_2(self, small_kg, tmp_path, capsys, extra, message):
+        kg_dir, _ = small_kg
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("a\tx\nc\ty\ne\tx\n", encoding="utf-8")
+        folds = tmp_path / "folds.tsv"
+        folds.write_text("a\t0\nc\tx\ne\t1\n", encoding="utf-8")
+        report = tmp_path / "out" / "report.json"
+        argv = ["classify", "--kg", str(kg_dir), "--labels", str(labels), "--dims", "2", "--epochs", "2",
+                "--checkpoint-every", "1", *[str(folds) if a == "FOLDS" else a for a in extra],
+                "--report", str(report)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+        assert not report.exists()
+
+
 class TestRemovedOptions:
     @pytest.mark.parametrize(
         "command,flag",
