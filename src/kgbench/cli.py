@@ -370,13 +370,24 @@ def _sniff_scorer(path: Path, kg, score_known_train: bool):
     return RuleScorer(theories, kg, score_known_train=score_known_train), "rules"
 
 
+def _hits_at(text: str) -> tuple[int, ...]:
+    """The K values of --hits: comma-separated integers, each at least 1."""
+    try:
+        hits_at = tuple(int(s) for s in text.split(",") if s.strip())
+        if all(k >= 1 for k in hits_at):
+            return hits_at
+    except ValueError:
+        pass
+    raise UsageError(f"--hits must be comma-separated integers >= 1, got {text!r}")
+
+
 def _cmd_eval_kbc(args) -> int:
     from .ranking import evaluate
 
+    hits_at = _hits_at(str(args.hits))
     kg_dir, kg = _load_graph(args)
     scorer_path = _resolve_data_path(args.scorer)
     scorer, scorer_kind = _sniff_scorer(scorer_path, kg, args.score_known_train)
-    hits_at = tuple(int(s) for s in str(args.hits).split(",") if s.strip())
     result = evaluate(scorer, kg, split=args.split, rank_mode=args.rank, hits_at=hits_at)
     payload = result.to_dict(per_query=args.per_query)
     payload["metadata"] = {

@@ -23,8 +23,9 @@ from .kg import KnowledgeGraph, Triple, _distinct
 
 MODEL_KINDS = ("transe", "distmult", "complex")
 _KIND_CODE = {k: i for i, k in enumerate(MODEL_KINDS)}
-_PARAMS = ("entity_re", "relation_re", "entity_im", "relation_im")  # the last two are None unless ComplEx
+_PLANES = {"transe": 1, "distmult": 1, "complex": 2}  # ComplEx: real, imaginary
 CKPT_MAGIC = b"KGE1"
+_HEADER = struct.Struct("<BIIQII")  # kind code, dim, epoch, seed, entities, relations
 
 DIM_GRID = (10, 20, 30, 50, 80, 100)
 EPOCH_GRID = (20, 40, 60, 80, 100)
@@ -61,29 +62,19 @@ class TrainConfig:
 class EmbeddingModel:
     """Per-entity and per-relation vectors plus the scoring function.
 
-    ComplEx keeps separate real and imaginary matrices; the other models
-    leave the imaginary parts as None.
+    `entity` is a (P, N, d) and `relation` a (P, R, d) float64 table.
+    ComplEx has P = 2 planes, plane 0 real and plane 1 imaginary; the other
+    models have P = 1.
     """
 
-    def __init__(
-        self,
-        kind: str,
-        entity_re: np.ndarray,
-        relation_re: np.ndarray,
-        entity_im: np.ndarray | None = None,
-        relation_im: np.ndarray | None = None,
-        seed: int = 0,
-        epoch: int = 0,
-    ) -> None:
+    def __init__(self, kind: str, entity: np.ndarray, relation: np.ndarray, seed: int = 0, epoch: int = 0) -> None:
         if kind not in MODEL_KINDS:
             raise DataError(f"unknown model kind: {kind!r}")
-        if kind == "complex" and (entity_im is None or relation_im is None):
-            raise DataError("complex model requires imaginary matrices")
+        if not entity.ndim == relation.ndim == 3 or len(entity) != _PLANES[kind] or len(relation) != _PLANES[kind]:
+            raise DataError(f"{kind} model requires {_PLANES[kind]}-plane entity and relation tables")
         self.kind = kind
-        self.entity_re = entity_re
-        self.relation_re = relation_re
-        self.entity_im = entity_im
-        self.relation_im = relation_im
+        self.entity = entity
+        self.relation = relation
         self.seed = seed
         self.epoch = epoch
 
@@ -91,32 +82,28 @@ class EmbeddingModel:
     def initialize(
         cls, kind: str, n_entities: int, n_relations: int, dim: int, seed: int
     ) -> "EmbeddingModel":
-        """Entries i.i.d. uniform in [-6/sqrt(dim), +6/sqrt(dim)]."""
+        """Entries i.i.d. uniform in [-6/sqrt(dim), +6/sqrt(dim)], drawn
+        plane by plane, the entity plane before the relation plane."""
         rng = np.random.default_rng(seed)
         bound = 6.0 / np.sqrt(dim)
-
-        def mat(rows: int) -> np.ndarray:
-            return rng.uniform(-bound, bound, size=(rows, dim))
-
-        e_im = r_im = None
-        e_re = mat(n_entities)
-        r_re = mat(n_relations)
-        if kind == "complex":
-            e_im = mat(n_entities)
-            r_im = mat(n_relations)
-        return cls(kind, e_re, r_re, e_im, r_im, seed=seed, epoch=0)
+        entity = np.empty((_PLANES[kind], n_entities, dim))
+        relation = np.empty((_PLANES[kind], n_relations, dim))
+        for e, r in zip(entity, relation):
+            e[:] = rng.uniform(-bound, bound, size=e.shape)
+            r[:] = rng.uniform(-bound, bound, size=r.shape)
+        return cls(kind, entity, relation, seed=seed, epoch=0)
 
     @property
     def dim(self) -> int:
-        return self.entity_re.shape[1]
+        return self.entity.shape[2]
 
     @property
     def n_entities(self) -> int:
-        return self.entity_re.shape[0]
+        return self.entity.shape[1]
 
     @property
     def n_relations(self) -> int:
-        return self.relation_re.shape[0]
+        return self.relation.shape[1]
 
     def _check(self, t: Triple) -> None:
         if not (0 <= t.head < self.n_entities and 0 <= t.tail < self.n_entities):
@@ -127,6 +114,7 @@ class EmbeddingModel:
     # -- scoring ----------------------------------------------------------
 
     def score(self, relation: int, head: int, tail: int) -> float:
+        """The scalar reference score of one triple."""
         t = Triple(head, relation, tail)
         self._check(t)
         if self.kind == "transe":
@@ -137,43 +125,21 @@ class EmbeddingModel:
 
     def score_tails(self, relation: int, head: int) -> np.ndarray:
         """Scores of (head, relation, e) for every entity e."""
-        self._check(Triple(head, relation, head))
-        if self.kind == "transe":
-            return self._transe_row(relation, head, "tail")
-        if self.kind == "distmult":
-            return (self.entity_re[head] * self.entity_re) @ self.relation_re[relation]
-        hr, hi = self.entity_re[head], self.entity_im[head]
-        rr, ri = self.relation_re[relation], self.relation_im[relation]
-        tr, ti = self.entity_re, self.entity_im
-        return ((hr * tr) @ rr + (hi * ti) @ rr + (hr * ti) @ ri - (hi * tr) @ ri)
+        return self.score_block([relation], [head], "tail")[0]
 
     def score_heads(self, relation: int, tail: int) -> np.ndarray:
         """Scores of (e, relation, tail) for every entity e."""
-        self._check(Triple(tail, relation, tail))
-        if self.kind == "transe":
-            return self._transe_row(relation, tail, "head")
-        if self.kind == "distmult":
-            return (self.entity_re * self.entity_re[tail]) @ self.relation_re[relation]
-        tr_, ti_ = self.entity_re[tail], self.entity_im[tail]
-        rr, ri = self.relation_re[relation], self.relation_im[relation]
-        hr, hi = self.entity_re, self.entity_im
-        return ((hr * tr_) @ rr + (hi * ti_) @ rr + (hr * ti_) @ ri - (hi * tr_) @ ri)
-
-    def _transe_row(self, relation: int, anchor: int, side: str) -> np.ndarray:
-        E, r = self.entity_re, self.relation_re[relation]
-        delta = (E[anchor] + r - E) if side == "tail" else (E + r - E[anchor])
-        return -np.sqrt((delta * delta).sum(axis=1))
+        return self.score_block([relation], [tail], "head")[0]
 
     def score_block(self, relations: np.ndarray, anchors: np.ndarray, side: str) -> np.ndarray:
         """(B, N) scores: row i scores every entity substituted on `side`
-        of (anchors[i], relations[i]) -- the rows of score_tails (side
-        "tail", anchors are heads) or score_heads (side "head").
+        of (anchors[i], relations[i]) -- the tail when side is "tail" (the
+        anchors are heads), else the head.
 
         DistMult and ComplEx fold the anchor and relation vectors into one
-        (B, d) weight matrix and take one GEMM per real matrix, so a row
+        (B, d) weight matrix per plane and take one GEMM per plane, so a row
         groups its terms differently from score() and agrees with it to
-        rounding (about 1e-15). TransE rows are bitwise those of
-        score_tails/score_heads.
+        rounding (about 1e-15). TransE takes each row on its own.
         """
         if side not in ("head", "tail"):
             raise DataError(f"unknown corruption side: {side!r}")
@@ -183,44 +149,47 @@ class EmbeddingModel:
             raise DataError("entity index out of range in score block")
         if relations.size and (relations.min() < 0 or relations.max() >= self.n_relations):
             raise DataError("relation index out of range in score block")
+        E, R = self.entity, self.relation
         if self.kind == "transe":
+            (E,), (R,) = E, R  # one plane each
             out = np.empty((len(anchors), self.n_entities))
             for i, (r, a) in enumerate(zip(relations, anchors)):
-                out[i] = self._transe_row(r, a, side)
+                delta = (E[a] + R[r] - E) if side == "tail" else (E + R[r] - E[a])
+                out[i] = -np.sqrt((delta * delta).sum(axis=1))
+                del delta  # free this row's (N, d) buffer before the next row allocates one
             return out
         if self.kind == "distmult":
-            return (self.entity_re[anchors] * self.relation_re[relations]) @ self.entity_re.T
-        ar, ai = self.entity_re[anchors], self.entity_im[anchors]
-        rr, ri = self.relation_re[relations], self.relation_im[relations]
-        if side == "tail":  # anchor is the head h; the candidate is the tail
-            w_re, w_im = ar * rr - ai * ri, ai * rr + ar * ri
-        else:  # anchor is the tail t; the candidate is the head
-            w_re, w_im = ar * rr + ai * ri, ai * rr - ar * ri
-        out = w_re @ self.entity_re.T
-        out += w_im @ self.entity_im.T
+            w = [E[0][anchors] * R[0][relations]]
+        else:
+            (ar, ai), (rr, ri) = E.take(anchors, axis=1), R.take(relations, axis=1)
+            if side == "tail":  # anchor is the head h; the candidate is the tail
+                w = [ar * rr - ai * ri, ai * rr + ar * ri]
+            else:  # anchor is the tail t; the candidate is the head
+                w = [ar * rr + ai * ri, ai * rr - ar * ri]
+        out = w[0] @ E[0].T
+        for wp, plane in zip(w[1:], E[1:]):
+            out += wp @ plane.T
         return out
 
     # -- features ----------------------------------------------------------
 
     def feature_matrix(self, entities: Sequence[int]) -> np.ndarray:
-        """Row per entity; ComplEx concatenates real and imaginary parts."""
+        """Row per entity: its planes side by side (ComplEx: real, then imaginary)."""
         ids = np.asarray(list(entities), dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= self.n_entities):
             raise DataError("unknown entity in feature export")
-        if self.kind == "complex":
-            return np.concatenate([self.entity_re[ids], self.entity_im[ids]], axis=1)
-        return self.entity_re[ids].copy()
+        return np.concatenate(self.entity[:, ids], axis=1)
 
     # -- persistence --------------------------------------------------------
 
     def save(self, path: Path) -> None:
+        """KGE1: magic, header, then the entity planes and the relation planes."""
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("wb") as fh:
             fh.write(CKPT_MAGIC)
             fh.write(
-                struct.pack(
-                    "<BIIQII",
+                _HEADER.pack(
                     _KIND_CODE[self.kind],
                     self.dim,
                     self.epoch,
@@ -229,12 +198,8 @@ class EmbeddingModel:
                     self.n_relations,
                 )
             )
-            fh.write(self.entity_re.astype("<f8").tobytes())
-            if self.kind == "complex":
-                fh.write(self.entity_im.astype("<f8").tobytes())
-            fh.write(self.relation_re.astype("<f8").tobytes())
-            if self.kind == "complex":
-                fh.write(self.relation_im.astype("<f8").tobytes())
+            for table in (self.entity, self.relation):
+                fh.write(np.ascontiguousarray(table, dtype="<f8"))  # no copy of a C-ordered float64 table
 
     @classmethod
     def load(cls, path: Path) -> "EmbeddingModel":
@@ -242,28 +207,27 @@ class EmbeddingModel:
         data = path.read_bytes()
         if data[:4] != CKPT_MAGIC:
             raise DataError(f"{path}: bad magic, not a checkpoint file")
-        kind_code, dim, epoch, seed, n_ent, n_rel = struct.unpack_from("<BIIQII", data, 4)
+        off = 4 + _HEADER.size
+        if len(data) < off:
+            raise DataError(f"{path}: truncated checkpoint")
+        kind_code, dim, epoch, seed, n_ent, n_rel = _HEADER.unpack_from(data, 4)
         if kind_code >= len(MODEL_KINDS):
             raise DataError(f"{path}: unknown model kind code {kind_code}")
         kind = MODEL_KINDS[kind_code]
-        off = 4 + struct.calcsize("<BIIQII")
 
         def take(rows: int) -> np.ndarray:
             nonlocal off
-            size = rows * dim * 8
-            if off + size > len(data):
+            count = _PLANES[kind] * rows * dim
+            if off + 8 * count > len(data):
                 raise DataError(f"{path}: truncated checkpoint")
-            arr = np.frombuffer(data, dtype="<f8", count=rows * dim, offset=off).reshape(rows, dim)
-            off += size
-            return arr.astype(np.float64)
+            arr = np.frombuffer(data, dtype="<f8", count=count, offset=off)
+            off += 8 * count
+            return arr.reshape(_PLANES[kind], rows, dim).astype(np.float64)
 
-        e_re = take(n_ent)
-        e_im = take(n_ent) if kind == "complex" else None
-        r_re = take(n_rel)
-        r_im = take(n_rel) if kind == "complex" else None
+        entity, relation = take(n_ent), take(n_rel)
         if off != len(data):
             raise DataError(f"{path}: trailing bytes in checkpoint")
-        return cls(kind, e_re, r_re, e_im, r_im, seed=seed, epoch=epoch)
+        return cls(kind, entity, relation, seed=seed, epoch=epoch)
 
 
 # -- scoring functions ---------------------------------------------------------
@@ -272,7 +236,8 @@ class EmbeddingModel:
 def score_transe(m: EmbeddingModel, t: Triple) -> float:
     """-||e_h + e_r - e_t||_2 ; zero exactly when the translation is exact."""
     m._check(t)
-    d = m.entity_re[t.head] + m.relation_re[t.relation] - m.entity_re[t.tail]
+    E, R = m.entity[0], m.relation[0]
+    d = E[t.head] + R[t.relation] - E[t.tail]
     return float(-np.sqrt(np.dot(d, d)))
 
 
@@ -280,7 +245,8 @@ def score_distmult(m: EmbeddingModel, t: Triple) -> float:
     """Sum_i e_h[i] * e_r[i] * e_t[i], grouped (h*t)*r so the score is
     bitwise symmetric under head/tail swap."""
     m._check(t)
-    return float(((m.entity_re[t.head] * m.entity_re[t.tail]) * m.relation_re[t.relation]).sum())
+    E, R = m.entity[0], m.relation[0]
+    return float(((E[t.head] * E[t.tail]) * R[t.relation]).sum())
 
 
 def score_complex(m: EmbeddingModel, t: Triple) -> float:
@@ -290,9 +256,9 @@ def score_complex(m: EmbeddingModel, t: Triple) -> float:
     the first term is computed exactly like the DistMult score.
     """
     m._check(t)
-    hr, hi = m.entity_re[t.head], m.entity_im[t.head]
-    rr, ri = m.relation_re[t.relation], m.relation_im[t.relation]
-    tr, ti = m.entity_re[t.tail], m.entity_im[t.tail]
+    hr, hi = m.entity[:, t.head]
+    rr, ri = m.relation[:, t.relation]
+    tr, ti = m.entity[:, t.tail]
     return float(
         ((hr * tr) * rr).sum()
         + ((hi * ti) * rr).sum()
@@ -320,25 +286,26 @@ def sample_negatives(
     k: int,
     rng: np.random.Generator,
     stats: SamplerStats | None = None,
-    max_retries: int = _MAX_RETRIES,
 ) -> list[tuple[int, int, int]]:
     """k corrupted (head, relation, tail) tuples of the triple t, replacing
     head or tail (fair coin) with a uniform entity; known-true candidates
-    are rejected and resampled. After `max_retries` rejections a known-true
+    are rejected and resampled. After _MAX_RETRIES rejections a known-true
     candidate is accepted anyway and the stats counter is incremented."""
     if k < 1:
         raise DataError("negative sample count must be >= 1")
-    n, n_rel, known = kg.n_entities, kg.n_relations, kg.known_keys()  # holds (head * n_rel + relation) * n + tail
+    n, n_rel, known = kg.n_entities, kg.n_relations, kg.sorted_keys()  # holds (head * n_rel + relation) * n + tail
     h, r, tl = t
     out: list[tuple[int, int, int]] = []
     for _ in range(k):
         cand = (h, r, tl)
         accepted = False
-        for _attempt in range(max_retries):
+        for _attempt in range(_MAX_RETRIES):
             corrupt_head = rng.random() < 0.5
             e = int(rng.integers(0, n))
             cand = (e, r, tl) if corrupt_head else (h, r, e)
-            if ((e * n_rel + r) * n + tl if corrupt_head else (h * n_rel + r) * n + e) not in known:
+            key = (e * n_rel + r) * n + tl if corrupt_head else (h * n_rel + r) * n + e
+            i = int(np.searchsorted(known, key))
+            if i == len(known) or known[i] != key:
                 accepted = True
                 break
         if not accepted and stats is not None:
@@ -490,11 +457,12 @@ def batch_gradients(
     negatives: np.ndarray,
     cfg: TrainConfig,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Loss and dense analytic gradients w.r.t. every parameter matrix."""
+    """Loss and dense analytic gradients w.r.t. the entity and relation tables."""
     loss, terms = _loss_terms(model, positives, negatives, cfg, want_grads=True)
-    grads = {name: np.zeros_like(getattr(model, name)) for name in _PARAMS if getattr(model, name) is not None}
+    grads = {"entity": np.zeros_like(model.entity), "relation": np.zeros_like(model.relation)}
     for name, index, values in terms:
-        np.add.at(grads[name], index, values())
+        for grad, rows in zip(grads[name], values()):
+            np.add.at(grad, index, rows)
     return loss, grads
 
 
@@ -512,17 +480,19 @@ def _loss_terms(
     negatives: np.ndarray,
     cfg: TrainConfig,
     want_grads: bool,
-) -> tuple[float, list[tuple[str, np.ndarray, Callable[[], np.ndarray]]]]:
+) -> tuple[float, list[tuple[str, np.ndarray, Callable[[], tuple[np.ndarray, ...]]]]]:
     """The batch loss and, with want_grads, the gradient as terms
-    (parameter matrix, row indices, gradient rows). A matrix's gradient row
-    is the sum of the rows its terms give at its index, taken in term order.
-    Each term computes its rows when called, so that one is held at a time."""
+    (table name, row indices, gradient rows): the rows are one (m, d) array
+    per plane of the table, row i the gradient of that plane's row index[i].
+    A table row's gradient is the sum of the rows its terms give at its
+    index, taken in term order. Each term computes its rows when called, so
+    that one is held at a time."""
     if model.kind == "transe":
         b, k = negatives.shape[0], negatives.shape[1]
         pos_rep = np.repeat(positives, k, axis=0)
         neg = negatives.reshape(b * k, 3)
         n_pairs = len(pos_rep)
-        E, R = model.entity_re, model.relation_re
+        E, R = model.entity[0], model.relation[0]
         dp = E[pos_rep[:, 0]] + R[pos_rep[:, 1]] - E[pos_rep[:, 2]]
         dn = E[neg[:, 0]] + R[neg[:, 1]] - E[neg[:, 2]]
         np_norm = np.sqrt((dp * dp).sum(axis=1))
@@ -541,12 +511,12 @@ def _loss_terms(
         un[nz & active] = dn[nz & active] / nn_norm[nz & active, None]
         scale = 1.0 / n_pairs
         return loss, [
-            ("entity_re", pos_rep[:, 0], lambda: scale * up),
-            ("relation_re", pos_rep[:, 1], lambda: scale * up),
-            ("entity_re", pos_rep[:, 2], lambda: -scale * up),
-            ("entity_re", neg[:, 0], lambda: -scale * un),
-            ("relation_re", neg[:, 1], lambda: -scale * un),
-            ("entity_re", neg[:, 2], lambda: scale * un),
+            ("entity", pos_rep[:, 0], lambda: (scale * up,)),
+            ("relation", pos_rep[:, 1], lambda: (scale * up,)),
+            ("entity", pos_rep[:, 2], lambda: (-scale * up,)),
+            ("entity", neg[:, 0], lambda: (-scale * un,)),
+            ("relation", neg[:, 1], lambda: (-scale * un,)),
+            ("entity", neg[:, 2], lambda: (scale * un,)),
         ]
 
     atoms, labels = _flat_atoms(positives, negatives)
@@ -554,7 +524,7 @@ def _loss_terms(
     h, r, t = atoms[:, 0], atoms[:, 1], atoms[:, 2]
     lam = cfg.regularization
     if model.kind == "distmult":
-        E, R = model.entity_re, model.relation_re
+        E, R = model.entity[0], model.relation[0]
         eh, er, et = E[h], R[r], E[t]
         psi = ((eh * et) * er).sum(axis=1)
         z = -labels * psi
@@ -564,13 +534,13 @@ def _loss_terms(
             return loss, []
         gpsi = (-labels * _sigmoid(z)) / n_atoms
         return loss, [
-            ("entity_re", h, lambda: gpsi[:, None] * (er * et) + (2 * lam / n_atoms) * eh),
-            ("relation_re", r, lambda: gpsi[:, None] * (eh * et) + (2 * lam / n_atoms) * er),
-            ("entity_re", t, lambda: gpsi[:, None] * (eh * er) + (2 * lam / n_atoms) * et),
+            ("entity", h, lambda: (gpsi[:, None] * (er * et) + (2 * lam / n_atoms) * eh,)),
+            ("relation", r, lambda: (gpsi[:, None] * (eh * et) + (2 * lam / n_atoms) * er,)),
+            ("entity", t, lambda: (gpsi[:, None] * (eh * er) + (2 * lam / n_atoms) * et,)),
         ]
 
     # complex
-    Er, Ei, Rr, Ri = model.entity_re, model.entity_im, model.relation_re, model.relation_im
+    (Er, Ei), (Rr, Ri) = model.entity, model.relation
     hr, hi = Er[h], Ei[h]
     rr, ri = Rr[r], Ri[r]
     tr, ti = Er[t], Ei[t]
@@ -589,26 +559,25 @@ def _loss_terms(
     gpsi = ((-labels * _sigmoid(z)) / n_atoms)[:, None]
     reg2 = 2 * lam / n_atoms
     return loss, [
-        ("entity_re", h, lambda: gpsi * (rr * tr + ri * ti) + reg2 * hr),
-        ("entity_im", h, lambda: gpsi * (rr * ti - ri * tr) + reg2 * hi),
-        ("relation_re", r, lambda: gpsi * (hr * tr + hi * ti) + reg2 * rr),
-        ("relation_im", r, lambda: gpsi * (hr * ti - hi * tr) + reg2 * ri),
-        ("entity_re", t, lambda: gpsi * (rr * hr - ri * hi) + reg2 * tr),
-        ("entity_im", t, lambda: gpsi * (rr * hi + ri * hr) + reg2 * ti),
+        ("entity", h, lambda: (gpsi * (rr * tr + ri * ti) + reg2 * hr, gpsi * (rr * ti - ri * tr) + reg2 * hi)),
+        ("relation", r, lambda: (gpsi * (hr * tr + hi * ti) + reg2 * rr, gpsi * (hr * ti - hi * tr) + reg2 * ri)),
+        ("entity", t, lambda: (gpsi * (rr * hr - ri * hi) + reg2 * tr, gpsi * (rr * hi + ri * hr) + reg2 * ti)),
     ]
 
 
 _LEVEL_ROWS = 16  # below this many rows, a level costs more than adding its rows one by one
 
 
-def _add_rows(sums: np.ndarray, slot: np.ndarray, values: np.ndarray) -> None:
-    """sums[slot[i]] += values[i] for each i in order: bitwise np.add.at(sums, slot, values).
+def _add_rows(sums: np.ndarray, slot: np.ndarray, values: Sequence[np.ndarray]) -> None:
+    """sums[p][slot[i]] += values[p][i] for each plane p and each i in order:
+    bitwise np.add.at(sums[p], slot, values[p]).
 
     One sort of slot * m + i groups the m occurrences by row, each row's in
-    order (a stable argsort costs several times as much). Level l adds every
-    row's l-th occurrence in one fancy-indexed +=. Once a level holds fewer
-    than _LEVEL_ROWS rows, each row left adds its other occurrences with one
-    np.add.accumulate, which also adds in order.
+    order (a stable argsort costs several times as much), once for all
+    planes. Level l adds every row's l-th occurrence in one fancy-indexed +=
+    per plane. Once a level holds fewer than _LEVEL_ROWS rows, each row left
+    adds its other occurrences with one np.add.accumulate per plane, which
+    also adds in order.
     """
     m = len(slot)
     key = np.sort(slot * m + np.arange(m))
@@ -621,15 +590,20 @@ def _add_rows(sums: np.ndarray, slot: np.ndarray, values: np.ndarray) -> None:
     level = lo = 0
     while level < len(ends) and ends[level] - lo >= _LEVEL_ROWS:
         pos = by_level[lo : ends[level]]
-        sums[grouped[pos]] += values[at[pos]]
+        dst, src = grouped[pos], at[pos]
+        for plane, rows in zip(sums, values):
+            plane[dst] += rows[src]
         level, lo = level + 1, ends[level]
-    for first, count in zip(starts[counts > level], counts[counts > level]):
-        row = grouped[first]
-        rest = values[at[first + level : first + count]]
-        sums[row] = np.add.accumulate(np.concatenate([sums[row : row + 1], rest]), axis=0)[-1]
+    many = counts > level
+    left = [(grouped[first], at[first + level : first + count]) for first, count in zip(starts[many], counts[many])]
+    for plane, rows in zip(sums, values):
+        for row, rest in left:
+            plane[row] = np.add.accumulate(np.concatenate([plane[row : row + 1], rows[rest]]), axis=0)[-1]
 
 
-def _sgd_step(model: EmbeddingModel, terms: list[tuple[str, np.ndarray, Callable[[], np.ndarray]]], lr: float) -> None:
+def _sgd_step(
+    model: EmbeddingModel, terms: list[tuple[str, np.ndarray, Callable[[], tuple[np.ndarray, ...]]]], lr: float
+) -> None:
     """_apply_sgd with the gradient of `terms`, on only the rows they touch.
     Each row's gradient starts from 0.0 and adds its terms' rows in order,
     as batch_gradients' np.add.at calls do, so the update is bitwise the same."""
@@ -638,13 +612,14 @@ def _sgd_step(model: EmbeddingModel, terms: list[tuple[str, np.ndarray, Callable
         index = np.concatenate([index for index, _ in parts])
         rows = _distinct(index)
         slot = np.searchsorted(rows, index)
-        matrix = getattr(model, name)
-        sums = np.zeros((len(rows), matrix.shape[1]))
+        table = getattr(model, name)
+        sums = np.zeros((len(table), len(rows), table.shape[2]))
         done = 0
         for part, values in parts:
             _add_rows(sums, slot[done : done + len(part)], values())
             done += len(part)
-        matrix[rows] -= lr * sums
+        for plane, plane_sums in zip(table, sums):
+            plane[rows] -= lr * plane_sums
 
 
 # -- training ---------------------------------------------------------------------
@@ -704,7 +679,7 @@ def train(
             epoch_loss += loss
             n_batches += 1
         if cfg.model == "transe":
-            _project_unit_ball(model.entity_re)
+            _project_unit_ball(model.entity[0])
         _check_finite_params(model, epoch)
         model.epoch = epoch
         result.epoch_losses.append(epoch_loss / max(n_batches, 1))
@@ -717,18 +692,14 @@ def train(
 
 
 def _check_finite_params(model: EmbeddingModel, epoch: int) -> None:
-    for name in _PARAMS:
-        arr = getattr(model, name)
-        if arr is not None and not np.isfinite(arr).all():
+    for name, table in (("entity", model.entity), ("relation", model.relation)):
+        if not np.isfinite(table).all():
             raise NumericError(f"non-finite {name} entries after epoch {epoch}")
 
 
 def _apply_sgd(model: EmbeddingModel, grads: dict[str, np.ndarray], lr: float) -> None:
-    model.entity_re -= lr * grads["entity_re"]
-    model.relation_re -= lr * grads["relation_re"]
-    if model.kind == "complex":
-        model.entity_im -= lr * grads["entity_im"]
-        model.relation_im -= lr * grads["relation_im"]
+    model.entity -= lr * grads["entity"]
+    model.relation -= lr * grads["relation"]
 
 
 # -- feature export ------------------------------------------------------------------

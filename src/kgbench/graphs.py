@@ -149,9 +149,8 @@ def bfs_distances(g: UndirectedGraph, source: int) -> dict[int, int]:
 
 
 def is_connected(g: UndirectedGraph) -> bool:
-    if g.n_nodes == 0:
-        return True
-    return len(bfs_distances(g, int(g.ids[0]))) == g.n_nodes
+    """Every node is in the component of position 0 (true for no nodes)."""
+    return not _component_labels(g).any()
 
 
 # -- local/degree metrics ----------------------------------------------------

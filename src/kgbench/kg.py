@@ -143,8 +143,8 @@ class KnowledgeGraph:
     duplicates within a split are dropped with a warning, duplicates across
     splits are an error. Derived on first use, rebuilt after any change: an
     :class:`Adjacency` of every split, tagged with each entry's index in
-    SPLITS, and the triple keys (head * R + relation) * N + tail as a set
-    and as a sorted array."""
+    SPLITS, and the triple keys (head * R + relation) * N + tail as a
+    sorted array."""
 
     def __init__(self) -> None:
         self.entities = Vocab()
@@ -221,12 +221,8 @@ class KnowledgeGraph:
         """Every triple of every split, as a set built on each access."""
         return set(map(Triple._make, self.all_rows().tolist()))
 
-    def known_keys(self) -> set[int]:
-        """The key of every known-true triple, for scalar membership tests."""
-        return self._derived("keys", lambda: set(self._keys(self.all_rows()).tolist()))
-
     def sorted_keys(self) -> np.ndarray:
-        """The key of every known-true triple, as a sorted int64 array for batched membership tests."""
+        """The key of every known-true triple, as a sorted int64 array for membership tests."""
         return self._derived("sorted_keys", lambda: np.sort(self._keys(self.all_rows())))
 
     def adjacent(self, relation: int, anchor: int, side: str) -> tuple[np.ndarray, np.ndarray]:

@@ -14,6 +14,7 @@ on output. Mining and rule application read the graph's CSR index
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -425,6 +426,8 @@ def parse_rule_line(line: str, lineno: int = 0, source: str = "<rules>") -> Horn
         cov = int(parts[1])
     except ValueError as exc:
         raise DataError(f"{source}:{lineno}: bad confidence/coverage: {exc}") from None
+    if not math.isfinite(conf):
+        raise DataError(f"{source}:{lineno}: confidence {parts[0]!r} is not finite")
     text = parts[2].strip()
     if text.endswith("."):
         text = text[:-1]

@@ -31,12 +31,13 @@ from kgbench.embed import (
     SamplerStats,
     TrainResult,
     _apply_sgd,
+    _check_finite_params,
     _project_unit_ball,
     batch_gradients,
     checkpoint_path,
     sample_negatives,
 )
-from kgbench.errors import DataError
+from kgbench.errors import DataError, NumericError
 from kgbench.graphs import (
     PROPERTY_ORDER,
     GraphModeProfile,
@@ -776,7 +777,8 @@ def oracle_rule_scores(kg, theories, relation: int, anchor: int, side: str, scor
 def reference_train(kg, cfg, checkpoint_dir=None) -> TrainResult:
     """embed.train's former loop: sample_negatives per triple, dense
     batch_gradients and _apply_sgd per batch. It consumes the generator,
-    saves checkpoints and reports losses and forced accepts as train does."""
+    saves checkpoints, reports losses and forced accepts and raises
+    NumericError on a non-finite loss or parameter as train does."""
     arr = kg.rows("train")
     model = EmbeddingModel.initialize(cfg.model, kg.n_entities, kg.n_relations, cfg.dim, cfg.seed)
     result = TrainResult(model=model)
@@ -785,15 +787,18 @@ def reference_train(kg, cfg, checkpoint_dir=None) -> TrainResult:
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(len(arr))
         epoch_loss, n_batches = 0.0, 0
-        for start in range(0, len(arr), cfg.batch_size):
+        for bi, start in enumerate(range(0, len(arr), cfg.batch_size)):
             batch = arr[order[start : start + cfg.batch_size]]
             negs = [sample_negatives(kg, t, cfg.negatives_per_positive, rng, stats) for t in batch.tolist()]
             loss, grads = batch_gradients(model, batch, np.array(negs, dtype=np.int64), cfg)
+            if not np.isfinite(loss):
+                raise NumericError(f"non-finite loss at epoch {epoch}, batch {bi}")
             _apply_sgd(model, grads, cfg.learning_rate)
             epoch_loss += loss
             n_batches += 1
         if cfg.model == "transe":
-            _project_unit_ball(model.entity_re)
+            _project_unit_ball(model.entity[0])
+        _check_finite_params(model, epoch)
         model.epoch = epoch
         result.epoch_losses.append(epoch_loss / max(n_batches, 1))
         if checkpoint_dir is not None and cfg.checkpoint_every and epoch % cfg.checkpoint_every == 0:

@@ -171,31 +171,24 @@ def test_gradient_checks():
             for dim in (10, 50):
                 rng = np.random.default_rng(hash((kind, dim)) % 2**32)
                 model = EmbeddingModel.initialize(kind, n_ent, n_rel, dim, seed=dim)
-                for mat in ("entity_re", "relation_re", "entity_im", "relation_im"):
-                    arr = getattr(model, mat)
-                    if arr is not None:
-                        arr *= 0.3  # keep scores O(1), away from hinge corners
+                model.entity *= 0.3  # keep scores O(1), away from hinge corners
+                model.relation *= 0.3
                 cfg = TrainConfig(model=kind, dim=dim, epochs=0, checkpoint_every=0)
                 for _ in range(17):
                     pos, neg = _random_batch(rng, n_ent, n_rel, 4, 2)
                     _, grads = batch_gradients(model, pos, neg, cfg)
-                    mats = {"entity_re": model.entity_re, "relation_re": model.relation_re}
-                    if kind == "complex":
-                        mats["entity_im"] = model.entity_im
-                        mats["relation_im"] = model.relation_im
-                    for name, M in mats.items():
-                        G = grads[name]
-                        for i in range(M.shape[0]):
-                            for j in range(M.shape[1]):
-                                orig = M[i, j]
-                                M[i, j] = orig + h
-                                lp = batch_loss(model, pos, neg, cfg)
-                                M[i, j] = orig - h
-                                lm = batch_loss(model, pos, neg, cfg)
-                                M[i, j] = orig
-                                num = (lp - lm) / (2 * h)
-                                err = abs(num - G[i, j]) / max(abs(num) + abs(G[i, j]), 1e-6)
-                                worst = max(worst, err)
+                    for name in ("entity", "relation"):
+                        M, G = getattr(model, name), grads[name]
+                        for i in np.ndindex(M.shape):
+                            orig = M[i]
+                            M[i] = orig + h
+                            lp = batch_loss(model, pos, neg, cfg)
+                            M[i] = orig - h
+                            lm = batch_loss(model, pos, neg, cfg)
+                            M[i] = orig
+                            num = (lp - lm) / (2 * h)
+                            err = abs(num - G[i]) / max(abs(num) + abs(G[i]), 1e-6)
+                            worst = max(worst, err)
                     n_checked += 1
         assert n_checked >= 100
         assert worst < 1e-4, f"worst relative gradient error {worst:.2e}"
@@ -206,8 +199,8 @@ def test_model_identities():
         rng = np.random.default_rng(5)
         e = rng.normal(size=(30, 12))
         r = rng.normal(size=(5, 12))
-        md = EmbeddingModel("distmult", e, r)
-        mc = EmbeddingModel("complex", e, r, np.zeros_like(e), np.zeros_like(r))
+        md = EmbeddingModel("distmult", e[None], r[None])
+        mc = EmbeddingModel("complex", np.stack([e, np.zeros_like(e)]), np.stack([r, np.zeros_like(r)]))
         from kgbench.embed import score_complex
 
         for _ in range(1000):
@@ -220,7 +213,7 @@ def test_model_identities():
         ent = rng.normal(size=(10, 6))
         rel_vecs = rng.normal(size=(2, 6))
         ent[3] = ent[1] + rel_vecs[0]  # exact translation 1 -r0-> 3
-        mt = EmbeddingModel("transe", ent, rel_vecs)
+        mt = EmbeddingModel("transe", ent[None], rel_vecs[None])
         assert score_transe(mt, Triple(1, 0, 3)) == 0.0
         for _ in range(500):
             h, t = (int(x) for x in rng.integers(0, 10, 2))

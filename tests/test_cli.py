@@ -103,6 +103,23 @@ class TestInputErrors:
         assert main(argv) == 2
         assert "nowhere" in capsys.readouterr().err
 
+    def test_non_finite_rule_confidence(self, small_kg, tmp_path, capsys):
+        kg_dir, _ = small_kg
+        rules = tmp_path / "rules.txt"
+        rules.write_text("nan\t3\tr1(X,Y) :- r1(X,Z), r1(Z,Y).\n", encoding="utf-8")
+        argv = ["apply-rules", "--kg", str(kg_dir), "--rules", str(rules), "--out", str(tmp_path / "r.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"data error: {rules}:1: confidence 'nan' is not finite\n"
+
+    @pytest.mark.parametrize("command", ["eval-kbc", "apply-rules"])
+    @pytest.mark.parametrize("hits", ["1,x", "0,3", "1,-2", "2.5"])
+    def test_bad_hits_is_usage_error(self, small_kg, tmp_path, capsys, command, hits):
+        kg_dir, rules = small_kg
+        assert main(_subcommand_argv(command, kg_dir, rules, tmp_path) + ["--hits", hits]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: --hits must be comma-separated integers >= 1, got {hits!r}\n"
+        assert not (tmp_path / "report.json").exists()
+
     def test_missing_config_file(self, small_kg, tmp_path, capsys):
         kg_dir, _ = small_kg
         argv = ["analyze", "--config", str(tmp_path / "nope.cfg"), "--kg", str(kg_dir), "--out", str(tmp_path / "p.json")]
@@ -195,6 +212,18 @@ class TestCheckpointShape:
         argv = ["eval-kbc", "--kg", str(kg_dir), "--scorer", str(ckpt), "--out", str(tmp_path / "report.json")]
         assert main(argv) == 2
         assert "checkpoint has" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("cut", [6, 28, 100], ids=["header", "header-end", "planes"])
+    def test_truncated_checkpoint_is_data_error(self, small_kg, tmp_path, capsys, cut):
+        kg_dir, _ = small_kg
+        kg = load_kg(kg_dir)
+        ckpt = tmp_path / "model.kge"
+        EmbeddingModel.initialize("complex", kg.n_entities, kg.n_relations, 4, seed=0).save(ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:cut])
+        argv = ["eval-kbc", "--kg", str(kg_dir), "--scorer", str(ckpt), "--out", str(tmp_path / "report.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"data error: {ckpt}: truncated checkpoint\n"
         assert not (tmp_path / "report.json").exists()
 
 

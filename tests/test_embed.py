@@ -34,13 +34,10 @@ from oracles import reference_train
 
 
 def _model(kind, e_re, r_re, e_im=None, r_im=None):
-    return EmbeddingModel(
-        kind,
-        np.asarray(e_re, dtype=np.float64),
-        np.asarray(r_re, dtype=np.float64),
-        None if e_im is None else np.asarray(e_im, dtype=np.float64),
-        None if r_im is None else np.asarray(r_im, dtype=np.float64),
-    )
+    def table(*planes):
+        return np.stack([np.asarray(p, dtype=np.float64) for p in planes if p is not None])
+
+    return EmbeddingModel(kind, table(e_re, e_im), table(r_re, r_im))
 
 
 class TestScoring:
@@ -136,13 +133,9 @@ class TestScoring:
         anchors = rng.integers(0, 40, 12)
         block = m.score_block(relations, anchors, side)
         assert block.shape == (12, 40)
-        one = m.score_tails if side == "tail" else m.score_heads
         for row, r, a in zip(block, relations, anchors):
-            ref = one(int(r), int(a))
-            if kind == "transe":
-                assert np.array_equal(row, ref)  # same per-row arithmetic
-            else:
-                np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
+            ref = [m.score(int(r), int(a), e) if side == "tail" else m.score(int(r), e, int(a)) for e in range(40)]
+            np.testing.assert_allclose(row, ref, rtol=0, atol=1e-12)
 
     def test_score_block_rejects_bad_input(self):
         m = EmbeddingModel.initialize("complex", 4, 2, 3, seed=0)
@@ -161,7 +154,7 @@ class TestScoring:
         kg = ingest_triples(["a\tr\tx", "e\tr\tb"], "train")
         kg = ingest_triples(["a\tr\tb", "c\tr\td"], "test", kg)
         m = EmbeddingModel.initialize(kind, kg.n_entities, kg.n_relations, 4, seed=3)
-        m.entity_re[kg.entities.id("x")] = np.nan
+        m.entity[:, kg.entities.id("x")] = np.nan
         first = kg.triples("test")[0]
         rank_query(m, kg, first, "tail")
         with pytest.raises(NumericError) as reference:
@@ -261,13 +254,14 @@ class TestBatchedSampling:
     def test_add_rows_is_bitwise_add_at(self, seed, n_rows, m, skew):
         rng = np.random.default_rng(seed)
         index = (rng.random(m) ** skew * n_rows).astype(np.int64)  # skew > 1 repeats the low rows
-        values = rng.normal(size=(m, 3))
-        values[rng.random((m, 3)) < 0.2] = -0.0
-        values[rng.random((m, 3)) < 0.1] = 0.0
-        dense, sums = np.zeros((n_rows, 3)), np.zeros((n_rows, 3))
+        values = rng.normal(size=(2, m, 3))  # two planes, as ComplEx's tables have
+        values[rng.random((2, m, 3)) < 0.2] = -0.0
+        values[rng.random((2, m, 3)) < 0.1] = 0.0
+        dense, sums = np.zeros((2, n_rows, 3)), np.zeros((2, n_rows, 3))
         for part in np.split(np.arange(m), [int(rng.integers(0, m + 1))]):  # a second call continues the sums
-            np.add.at(dense, index[part], values[part])
-            _add_rows(sums, index[part], values[part])
+            for plane, rows in zip(dense, values):
+                np.add.at(plane, index[part], rows[part])
+            _add_rows(sums, index[part], [rows[part] for rows in values])
         assert sums.tobytes() == dense.tobytes()
 
 
@@ -277,8 +271,8 @@ class TestTraining:
         cfg = TrainConfig(model="transe", dim=6, epochs=0, checkpoint_every=0, seed=5)
         result = train(kg, cfg)
         fresh = EmbeddingModel.initialize("transe", kg.n_entities, kg.n_relations, 6, seed=5)
-        assert np.array_equal(result.model.entity_re, fresh.entity_re)
-        assert np.array_equal(result.model.relation_re, fresh.relation_re)
+        assert np.array_equal(result.model.entity, fresh.entity)
+        assert np.array_equal(result.model.relation, fresh.relation)
 
     def test_checkpoint_every_must_divide_epochs(self):
         with pytest.raises(DataError, match="divide"):
@@ -296,6 +290,7 @@ class TestTraining:
             b2 = checkpoint_path(d2, cfg, epoch).read_bytes()
             assert hashlib.sha256(b1).hexdigest() == hashlib.sha256(b2).hexdigest()
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @settings(max_examples=40, deadline=None)
     @given(
         kind=st.sampled_from(["transe", "distmult", "complex"]),
@@ -319,8 +314,14 @@ class TestTraining:
         cfg = TrainConfig(model=kind, dim=4, epochs=3, checkpoint_every=1, seed=seed, batch_size=batch_size,
                           negatives_per_positive=k, learning_rate=learning_rate)
         with tempfile.TemporaryDirectory() as d:
+            try:
+                want = reference_train(kg, cfg, checkpoint_dir=Path(d) / "reference")
+            except NumericError as diverged:  # a learning rate of 0.5 can diverge: train must stop at the same place
+                with pytest.raises(NumericError) as info:
+                    train(kg, cfg, checkpoint_dir=Path(d) / "train")
+                assert str(info.value) == str(diverged)
+                return
             got = train(kg, cfg, checkpoint_dir=Path(d) / "train")
-            want = reference_train(kg, cfg, checkpoint_dir=Path(d) / "reference")
             for a, b in zip(got.checkpoints, want.checkpoints, strict=True):
                 assert a.read_bytes() == b.read_bytes()
         assert got.epoch_losses == want.epoch_losses
@@ -332,7 +333,7 @@ class TestTraining:
         kg = random_kg(rng, 15, 2, 30, "train")
         cfg = TrainConfig(model="transe", dim=5, epochs=3, checkpoint_every=3, seed=2, batch_size=8)
         result = train(kg, cfg)
-        norms = np.sqrt((result.model.entity_re**2).sum(axis=1))
+        norms = np.sqrt((result.model.entity[0] ** 2).sum(axis=1))
         assert (norms <= 1.0 + 1e-9).all()
 
     def test_all_parameters_finite_after_training(self):
@@ -341,8 +342,8 @@ class TestTraining:
         for kind in ("transe", "distmult", "complex"):
             cfg = TrainConfig(model=kind, dim=5, epochs=2, checkpoint_every=2, seed=3, batch_size=8)
             result = train(kg, cfg)
-            assert np.isfinite(result.model.entity_re).all()
-            assert np.isfinite(result.model.relation_re).all()
+            assert np.isfinite(result.model.entity).all()
+            assert np.isfinite(result.model.relation).all()
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_non_finite_loss_aborts_with_location(self):
@@ -390,32 +391,25 @@ class TestGradients:
     def check_model(kind, dim, seed, n_batches, h=1e-5, tol=1e-4, n_ent=10, n_rel=2):
         rng = np.random.default_rng(seed)
         model = EmbeddingModel.initialize(kind, n_ent, n_rel, dim, seed)
-        for mat in ("entity_re", "relation_re", "entity_im", "relation_im"):
-            arr = getattr(model, mat)
-            if arr is not None:
-                arr *= 0.3  # keep scores O(1)
+        model.entity *= 0.3  # keep scores O(1)
+        model.relation *= 0.3
         cfg = TrainConfig(model=kind, dim=dim, epochs=0, checkpoint_every=0)
         worst = 0.0
         for _ in range(n_batches):
             pos, neg = TestGradients._random_batch(rng, n_ent, n_rel, 4, 2)
             _, grads = batch_gradients(model, pos, neg, cfg)
-            mats = {"entity_re": model.entity_re, "relation_re": model.relation_re}
-            if kind == "complex":
-                mats["entity_im"] = model.entity_im
-                mats["relation_im"] = model.relation_im
-            for name, M in mats.items():
-                G = grads[name]
-                for i in range(M.shape[0]):
-                    for j in range(M.shape[1]):
-                        orig = M[i, j]
-                        M[i, j] = orig + h
-                        lp = batch_loss(model, pos, neg, cfg)
-                        M[i, j] = orig - h
-                        lm = batch_loss(model, pos, neg, cfg)
-                        M[i, j] = orig
-                        num = (lp - lm) / (2 * h)
-                        err = abs(num - G[i, j]) / max(abs(num) + abs(G[i, j]), 1e-6)
-                        worst = max(worst, err)
+            for name in ("entity", "relation"):
+                M, G = getattr(model, name), grads[name]
+                for i in np.ndindex(M.shape):
+                    orig = M[i]
+                    M[i] = orig + h
+                    lp = batch_loss(model, pos, neg, cfg)
+                    M[i] = orig - h
+                    lm = batch_loss(model, pos, neg, cfg)
+                    M[i] = orig
+                    num = (lp - lm) / (2 * h)
+                    err = abs(num - G[i]) / max(abs(num) + abs(G[i]), 1e-6)
+                    worst = max(worst, err)
         assert worst < tol, f"{kind} dim={dim}: worst relative error {worst}"
         return worst
 
@@ -435,10 +429,35 @@ class TestCheckpoints:
             assert back.kind == kind
             assert back.epoch == 40
             assert back.seed == 11
-            assert np.array_equal(back.entity_re, m.entity_re)
-            assert np.array_equal(back.relation_re, m.relation_re)
-            if kind == "complex":
-                assert np.array_equal(back.entity_im, m.entity_im)
+            assert np.array_equal(back.entity, m.entity)
+            assert np.array_equal(back.relation, m.relation)
+
+    # SHA-256 of initialize(kind, 7, 3, 4, seed=11).save(). It depends only on
+    # PCG64's uniform draws and the file writer, so unlike the comparisons with
+    # reference_train it fails when the draw order or the file layout moves.
+    GOLDEN = {
+        "transe": "8066cfa721422cdcdd37c3e1335c4755ab4fc49ca212869cb6c90da439b35438",
+        "distmult": "acf52e70660076a5cb22f557bea99597dcd568cfc6a4a2e298a8761193b8e6a6",
+        "complex": "a341aa412bb988223567c69c3106f63bc0b92d9054e1790671aa3b741f005306",
+    }
+
+    @pytest.mark.parametrize("kind", ["transe", "distmult", "complex"])
+    def test_golden_bytes_and_roundtrip(self, tmp_path, kind):
+        path, again = tmp_path / "m.kge", tmp_path / "again.kge"
+        EmbeddingModel.initialize(kind, 7, 3, 4, seed=11).save(path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[kind]
+        back = EmbeddingModel.load(path)
+        back.save(again)
+        assert again.read_bytes() == path.read_bytes()
+        if kind == "complex":  # after the 29-byte magic and header: every real entity row, then every imaginary one
+            planes = np.frombuffer(path.read_bytes(), dtype="<f8", count=2 * 7 * 4, offset=29).reshape(2, 7, 4)
+            assert np.array_equal(back.feature_matrix(range(7)), np.concatenate([planes[0], planes[1]], axis=1))
+
+    def test_truncated_header(self, tmp_path):
+        p = tmp_path / "x.kge"
+        p.write_bytes(b"KGE1\0\1")
+        with pytest.raises(DataError, match="truncated checkpoint"):
+            EmbeddingModel.load(p)
 
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.kge"
@@ -452,8 +471,8 @@ class TestFeatureExport:
         m = EmbeddingModel.initialize("complex", 6, 2, 10, seed=0)
         feats = m.feature_matrix([0, 1, 2])
         assert feats.shape == (3, 20)
-        assert np.array_equal(feats[:, :10], m.entity_re[:3])
-        assert np.array_equal(feats[:, 10:], m.entity_im[:3])
+        assert np.array_equal(feats[:, :10], m.entity[0, :3])
+        assert np.array_equal(feats[:, 10:], m.entity[1, :3])
 
     def test_transe_width_is_dim(self):
         m = EmbeddingModel.initialize("transe", 6, 2, 50, seed=0)
@@ -462,8 +481,8 @@ class TestFeatureExport:
     def test_rows_are_exact_projections(self):
         m = EmbeddingModel.initialize("distmult", 6, 2, 7, seed=0)
         feats = m.feature_matrix([4, 2])
-        assert np.array_equal(feats[0], m.entity_re[4])
-        assert np.array_equal(feats[1], m.entity_re[2])
+        assert np.array_equal(feats[0], m.entity[0, 4])
+        assert np.array_equal(feats[1], m.entity[0, 2])
 
     def test_unknown_entity(self):
         m = EmbeddingModel.initialize("transe", 4, 1, 3, seed=0)

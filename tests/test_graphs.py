@@ -219,6 +219,12 @@ class TestDistanceKernel:
             assert eccentricity_radius_diameter(g) == reference_ecc_radius_diameter(g)
             assert closeness_centrality_mean(g) == reference_closeness_mean(g)
 
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(0, 30), edges=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=40))
+    def test_is_connected_matches_bfs(self, n, edges):
+        g = UndirectedGraph([(u, v) for u, v in edges if u < n and v < n], nodes=range(n))
+        assert graphs.is_connected(g) == (n == 0 or len(bfs_distances(g, 0)) == n)
+
     def test_one_pass_per_component(self, monkeypatch):
         computed = []
         kernel = graphs._distance_arrays

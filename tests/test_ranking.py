@@ -295,19 +295,16 @@ class TestBlockRanking:
         kg, rng = graph
         dim = data.draw(st.integers(min_value=1, max_value=6))
 
-        def mat(n_rows):
+        def table(n_rows):
+            shape = (2 if kind == "complex" else 1, n_rows, dim)
             if weights == "integer":
-                return rng.integers(-2, 3, size=(n_rows, dim)).astype(np.float64)
-            return rng.uniform(-1.0, 1.0, size=(n_rows, dim))
+                return rng.integers(-2, 3, size=shape).astype(np.float64)
+            return rng.uniform(-1.0, 1.0, size=shape)
 
-        complex_ = kind == "complex"
-        model = EmbeddingModel(kind, mat(kg.n_entities), mat(kg.n_relations),
-                               mat(kg.n_entities) if complex_ else None, mat(kg.n_relations) if complex_ else None)
+        model = EmbeddingModel(kind, table(kg.n_entities), table(kg.n_relations))
         if duplicate_rows:
             src, dst = rng.integers(0, kg.n_entities, size=(2, max(1, kg.n_entities // 3)))
-            for matrix in (model.entity_re, model.entity_im):
-                if matrix is not None:
-                    matrix[dst] = matrix[src]
+            model.entity[:, dst] = model.entity[:, src]
         _assert_blocks_match_reference(model, kg, rows)
 
     @settings(max_examples=40, deadline=None)

@@ -440,6 +440,11 @@ class TestRuleFiles:
         with pytest.raises(DataError):
             parse_rule_line("0.5\t3\tnot a rule", 1)
 
+    @pytest.mark.parametrize("conf", ["nan", "inf", "-inf"])
+    def test_non_finite_confidence_is_data_error(self, conf):
+        with pytest.raises(DataError, match=f"rules.txt:4: confidence '{conf}' is not finite"):
+            parse_rule_line(f"{conf}\t3\tr(X,Y) :- r(X,Z), r(Z,Y).", 4, "rules.txt")
+
     def test_inv_prefix_marks_inversion(self, tmp_path):
         kg = ingest_triples(["b\tr\ta", "a\tt\tb"], "train")
         line = "1.0\t1\tt(X,Y) :- inv_r(X,Y)."
