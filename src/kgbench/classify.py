@@ -19,6 +19,7 @@ import numpy as np
 from .embed import EmbeddingModel, TrainConfig, checkpoint_path, train
 from .errors import DataError
 from .kg import KnowledgeGraph
+from .ranking import _block_rows
 from .rules import RuleScorer, mine_rules
 
 KNN_K_GRID = (3, 5, 7, 9, 11, 13, 15)
@@ -402,17 +403,21 @@ class RuleBasedClassifier:
 
     def predict(self, entity_ids: Sequence[int]) -> np.ndarray:
         """Entity ids are stable across the label extension, so ids from
-        the base graph work directly."""
+        the base graph work directly. Entities are scored in blocks of
+        evaluate's rows, and only the class columns are read: the first
+        class of highest score above 0, else the majority class."""
         if self._scorer is None:
             raise DataError("classifier is not fitted")
+        entity_ids = np.asarray(entity_ids, dtype=np.int64)
+        classes = np.array(self._class_entity_ids, dtype=np.int64)
+        size = _block_rows(self._scorer.n_entities)
         preds = np.empty(len(entity_ids), dtype=np.int64)
-        for i, ent in enumerate(entity_ids):
-            scores = self._scorer.score_tails(self._rel_id, ent)
-            best_cls, best_score = self._majority, 0.0
-            for cls, ce in enumerate(self._class_entity_ids):
-                if ce >= 0 and scores[ce] > best_score:
-                    best_cls, best_score = cls, float(scores[ce])
-            preds[i] = best_cls
+        for lo in range(0, len(entity_ids), size):
+            ents = entity_ids[lo : lo + size]
+            scores = self._scorer.score_block(np.full(len(ents), self._rel_id), ents, "tail")
+            scores = np.where(classes >= 0, scores[:, classes], 0.0)  # a missing class entity never fires
+            best = np.argmax(scores, axis=1)  # the first class with the highest score
+            preds[lo : lo + size] = np.where(scores.max(axis=1) > 0.0, best, self._majority)
         return preds
 
 

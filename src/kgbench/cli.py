@@ -458,7 +458,7 @@ def _cmd_classify(args) -> int:
     labels_path = _resolve_data_path(args.labels)
     with labels_path.open(encoding="utf-8") as fh:
         labeled = load_labels(fh, kg, source=str(labels_path))
-    inputs = [labels_path]
+    inputs = [labels_path, *(kg_dir / f for f in (*GRAPH_FILES, "attributes.txt"))]
     if args.folds:
         folds_path = _resolve_data_path(args.folds)
         with folds_path.open(encoding="utf-8") as fh:
@@ -503,9 +503,15 @@ def _cmd_classify(args) -> int:
         "classify",
         {
             "features": args.features,
+            "classifier": args.classifier,
             "dims": args.dims,
+            "epochs": args.epochs,
+            "checkpoint_every": args.checkpoint_every,
+            "checkpoint_dir": args.checkpoint_dir,
             "outer_folds": args.outer_folds,
             "inner_folds": args.inner_folds,
+            "no_baseline": args.no_baseline,
+            "label_relation": args.label_relation,
             "seed": args.seed,
         },
         inputs,

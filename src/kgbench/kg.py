@@ -324,12 +324,15 @@ def ingest_triples(
     return kg
 
 
-def ingest_attribute_schema(lines: Iterable[str], kg: KnowledgeGraph) -> None:
-    """Mark relations listed one-per-line as attribute-value assignments."""
-    for raw in lines:
+def ingest_attribute_schema(lines: Iterable[str], kg: KnowledgeGraph, source: str = "<attributes>") -> None:
+    """Mark relations listed one-per-line as attribute-value assignments.
+    Each must be a relation of the graph's triples."""
+    for lineno, raw in enumerate(lines, start=1):
         name = raw.strip()
         if not name or name.startswith("#"):
             continue
+        if name not in kg.relations:
+            raise DataError(f"{source}:{lineno}: attribute relation {name!r} is used by no triple")
         kg.mark_attribute(name)
 
 
@@ -358,7 +361,7 @@ def load_dataset(
             kg._ingest((seen._labels(*t) for t in seen.splits[split].tolist()), split)
     if attributes is not None:
         with attributes.open(encoding="utf-8") as fh:
-            ingest_attribute_schema(fh, kg)
+            ingest_attribute_schema(fh, kg, source=str(attributes))
     return kg
 
 
@@ -520,5 +523,5 @@ def load_kg(directory: Path) -> KnowledgeGraph:
     attrs = directory / "attributes.txt"
     if attrs.exists():
         with attrs.open(encoding="utf-8") as fh:
-            ingest_attribute_schema(fh, kg)
+            ingest_attribute_schema(fh, kg, source=str(attrs))
     return kg

@@ -27,7 +27,9 @@ from .kg import SPLITS, KnowledgeGraph, _chunks, _distinct, _spans
 INV_PREFIX = "inv_"
 _TRAIN = SPLITS.index("train")
 COVERAGE_TERMINAL_BIN = 400
-_JOIN_ENTRIES = 1 << 22  # most train entries one chunk of a mining join gathers, unless one X has more
+# most train entries one chunk of a mining join gathers, unless one X has more; and most
+# rules one group of a scoring block walks, unless one query's theory has more
+_JOIN_ENTRIES = 1 << 22
 
 
 def is_variable(arg: str) -> bool:
@@ -268,8 +270,11 @@ class RuleScorer:
     h to t in the train triples; 0 when no rule fires. Optionally scores
     known train triples 1.0.
 
-    A query walks every rule of the theory at once: a frontier of (rule,
-    entity) rows, joined to one body atom at a time and then deduplicated."""
+    The rules that can fire form one flat table: confidences, body lengths
+    and the forward and backward steps (K, D) of every rule, padded past each
+    body's end, with each relation's rules at [offsets[r], offsets[r + 1]). A
+    block of queries walks all their rules at once: a frontier of (query,
+    rule, entity) rows, joined to one body atom at a time and deduplicated."""
 
     def __init__(
         self,
@@ -281,48 +286,63 @@ class RuleScorer:
         self.kg = kg
         self.n_entities = kg.n_entities
         self.score_known_train = score_known_train
-        # relation -> (confidences, the number of rules with a step p for each p, {backward: (K, L) steps})
-        # of the rules that can fire, longest body first; steps are padded past each body's end
-        self._walks: dict[int, tuple[np.ndarray, list[int], dict[bool, np.ndarray]]] = {}
-        for relation, theory in theories.items():
-            fire = [r for r in theory.rules if r.chain is not None and r.confidence > 0.0]
-            fire.sort(key=lambda r: -len(r.chain))
-            if fire:
-                forward = [[2 * rel + inv for rel, inv in rule.chain] for rule in fire]
-                backward = [[step ^ 1 for step in reversed(c)] for c in forward]  # reversed, each step inverted
-                depth = len(forward[0])
-                steps = {b: np.array([c + [0] * (depth - len(c)) for c in chains], dtype=np.int64)
-                         for b, chains in ((False, forward), (True, backward))}
-                live = [sum(len(c) > p for c in forward) for p in range(depth)]
-                self._walks[relation] = (np.array([r.confidence for r in fire]), live, steps)
+        fire = [[r for r in theories[rel].rules if r.chain is not None and r.confidence > 0.0] if rel in theories else []
+                for rel in range(max(theories, default=-1) + 1)]
+        table = [rule for rules in fire for rule in rules]
+        self._offsets = np.cumsum([0] + [len(rules) for rules in fire], dtype=np.int64)
+        self._conf = np.array([rule.confidence for rule in table], dtype=np.float64)
+        self._lengths = np.array([len(rule.chain) for rule in table], dtype=np.int64)
+        depth = int(self._lengths.max(initial=0))
+        forward = [[2 * rel + inv for rel, inv in rule.chain] for rule in table]
+        self._forward = np.array([c + [0] * (depth - len(c)) for c in forward], dtype=np.int64).reshape(len(table), depth)
+        # a body walked from its end: the steps reversed, each one inverted
+        back = self._lengths[:, None] - 1 - np.arange(depth)
+        self._backward = np.where(back >= 0, np.take_along_axis(self._forward, np.maximum(back, 0), axis=1) ^ 1, 0)
 
     def score(self, relation: int, head: int, tail: int) -> float:
         return float(self.score_tails(relation, head)[tail])
 
-    def _score_side(self, relation: int, anchor: int, backward: bool) -> np.ndarray:
+    def score_block(self, relations, anchors, side: str) -> np.ndarray:
+        """(B, N) rows: score_tails(relations[i], anchors[i]) (side "tail") or
+        score_heads (side "head") of each query. Queries are walked in groups
+        whose theories hold at most _JOIN_ENTRIES rules in all (or one
+        query's theory), each rule starting one frontier row at its query's
+        anchor."""
+        relations = np.asarray(relations, dtype=np.int64)
+        anchors = np.asarray(anchors, dtype=np.int64)
         n = self.n_entities
-        out = np.zeros(n, dtype=np.float64)
+        out = np.zeros((len(relations), n), dtype=np.float64)
+        flat = out.reshape(-1)
+        backward = side == "head"
         if self.score_known_train:
-            entities, split_ids = self.kg.adjacent(relation, anchor, "head" if backward else "tail")
-            out[entities[split_ids == _TRAIN]] = 1.0
-        if relation not in self._walks:
-            return out
-        conf, live, steps = self._walks[relation]
-        rule, ent = np.arange(len(conf)), np.full(len(conf), anchor, dtype=np.int64)
-        for p, n_live in enumerate(live):  # rows stay sorted by rule, so the rows of finished rules come last
-            cut = int(np.searchsorted(rule, n_live))
-            np.maximum.at(out, ent[cut:], conf[rule[cut:]])
-            src, _, ends, split_ids = self.kg.adjacent_many(ent[:cut], steps[backward][rule[:cut], p])
+            src, _, ends, split_ids = self.kg.adjacent_many(anchors, 2 * relations + backward)
             train = split_ids == _TRAIN
-            rule, ent = np.divmod(_distinct(rule[src[train]] * n + ends[train]), n)
-        np.maximum.at(out, ent, conf[rule])
+            flat[src[train] * n + ends[train]] = 1.0
+        known = (relations >= 0) & (relations < len(self._offsets) - 1)
+        first = self._offsets[np.where(known, relations, 0)]
+        counts = np.where(known, self._offsets[np.where(known, relations + 1, 0)] - first, 0)
+        steps = self._backward if backward else self._forward
+        for lo, hi in _chunks(np.arange(len(relations)), counts, _JOIN_ENTRIES):
+            query, rule = np.repeat(np.arange(lo, hi), counts[lo:hi]), _spans(first[lo:hi], counts[lo:hi])
+            if len(rule) * n >= 2**63:
+                raise DataError(f"{len(rule)} rules and {n} entities overflow 64-bit rule walk keys")
+            row, ent = np.arange(len(rule)), anchors[query]  # frontier rows: start row (query, rule), entity
+            for p in range(steps.shape[1] + 1):
+                done = self._lengths[rule[row]] == p
+                np.maximum.at(flat, query[row[done]] * n + ent[done], self._conf[rule[row[done]]])
+                row, ent = row[~done], ent[~done]
+                if not len(row):
+                    break
+                src, _, ends, split_ids = self.kg.adjacent_many(ent, steps[rule[row], p])
+                train = split_ids == _TRAIN
+                row, ent = np.divmod(_distinct(row[src[train]] * n + ends[train]), n)
         return out
 
     def score_tails(self, relation: int, head: int):
-        return self._score_side(relation, head, backward=False)
+        return self.score_block([relation], [head], "tail")[0]
 
     def score_heads(self, relation: int, tail: int):
-        return self._score_side(relation, tail, backward=True)
+        return self.score_block([relation], [tail], "head")[0]
 
 
 # -- analytics -----------------------------------------------------------------------

@@ -6,7 +6,8 @@ quadratic and only run on small inputs. The reference paths are the
 exception: they keep retired library code as the exact reference for its
 replacement -- the dict-of-set graph code for the CSR graph, the
 per-triple sampling, dense-gradient training loop for embed.train, and the
-per-point kNN loop and per-grid-point nested CV for the kNN grid kernel.
+per-point kNN loop and per-grid-point nested CV for the kNN grid kernel,
+and the per-entity loop for the rule classifier's block prediction.
 """
 
 from __future__ import annotations
@@ -772,6 +773,21 @@ def oracle_rule_scores(kg, theories, relation: int, anchor: int, side: str, scor
             if r == relation and a == anchor:
                 out[e] = 1.0
     return out
+
+
+def reference_rule_predict(classifier, entity_ids) -> np.ndarray:
+    """RuleBasedClassifier.predict's former loop: one score_tails row per
+    entity, its class entities read in class order with a strict >, from the
+    majority class at score 0."""
+    preds = np.empty(len(entity_ids), dtype=np.int64)
+    for i, ent in enumerate(entity_ids):
+        scores = classifier._scorer.score_tails(classifier._rel_id, ent)
+        best_cls, best_score = classifier._majority, 0.0
+        for cls, ce in enumerate(classifier._class_entity_ids):
+            if ce >= 0 and scores[ce] > best_score:
+                best_cls, best_score = cls, float(scores[ce])
+        preds[i] = best_cls
+    return preds
 
 
 def reference_train(kg, cfg, checkpoint_dir=None) -> TrainResult:

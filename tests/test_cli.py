@@ -97,6 +97,17 @@ class TestInputErrors:
         assert main(["ingest", "--train", str(bad), "--out", str(tmp_path / "kg")]) == 2
         assert "utf-8" in capsys.readouterr().err
 
+    def test_attribute_relation_no_triple_uses(self, tmp_path, capsys):
+        train = tmp_path / "train.tsv"
+        train.write_text("a\tr\tb\n", encoding="utf-8")
+        schema = tmp_path / "attributes.txt"
+        schema.write_text("r\n# comment\nnosuchrel\n", encoding="utf-8")
+        kg_dir = tmp_path / "kg"
+        assert main(["ingest", "--train", str(train), "--attributes", str(schema), "--out", str(kg_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"data error: {schema}:3: attribute relation 'nosuchrel' is used by no triple\n"
+        assert not kg_dir.exists()
+
     def test_missing_graph_directory(self, small_kg, tmp_path, capsys):
         _, rules = small_kg
         argv = ["eval-kbc", "--kg", str(tmp_path / "nowhere"), "--scorer", str(rules), "--out", str(tmp_path / "r.json")]
@@ -559,6 +570,28 @@ class TestManifest:
         assert after["test.idx"] != before["test.idx"]
         assert {k: v for k, v in after.items() if k != "test.idx"} == {
             k: v for k, v in before.items() if k != "test.idx"
+        }
+
+    def test_classify_manifest_hashes_the_graph_and_records_every_option(self, tmp_path):
+        train = tmp_path / "train.tsv"
+        train.write_text("a\tr\tb\nb\tr\tc\nc\tr\ta\na\tcolour\tred\n", encoding="utf-8")
+        schema = tmp_path / "attributes.txt"
+        schema.write_text("colour\n", encoding="utf-8")
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("a\tx\nb\ty\nc\tx\n", encoding="utf-8")
+        kg_dir, out = tmp_path / "kg", tmp_path / "out"
+        assert main(["ingest", "--train", str(train), "--attributes", str(schema), "--out", str(kg_dir)]) == 0
+        argv = ["classify", "--kg", str(kg_dir), "--labels", str(labels), "--features", "rules",
+                "--outer-folds", "2", "--report", str(out / "report.json")]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(Path(p).name for p in manifest["inputs"]) == sorted(
+            ["labels.tsv", "entities.tsv", "relations.tsv", "train.idx", "valid.idx", "test.idx", "attributes.txt"]
+        )
+        assert manifest["config"] == {
+            "features": "rules", "classifier": "knn", "dims": "10,20,30,50,80,100", "epochs": 100,
+            "checkpoint_every": 20, "checkpoint_dir": None, "outer_folds": 2, "inner_folds": 3,
+            "no_baseline": False, "label_relation": "has_label", "seed": 0,
         }
 
     def test_manifest_records_version_and_config(self, tmp_path):

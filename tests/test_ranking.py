@@ -321,6 +321,17 @@ class TestBlockRanking:
             scorer = RuleScorer(mine_all(kg, max_body_len=2), kg, score_known_train=flag)
         _assert_blocks_match_reference(scorer, kg, rows)
 
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(), block_rows, st.integers(min_value=1, max_value=3))
+    def test_tie_heavy_function_scorer(self, graph, rows, levels):
+        """A scorer with at most three score values: the truth ties with many
+        candidates, so each rank counts exactly the candidates of the gathered
+        filter mask, which corruption_set's per-query filter checks."""
+        kg, rng = graph
+        table = rng.integers(0, levels, size=(kg.n_relations, kg.n_entities, kg.n_entities)).astype(np.float64)
+        scorer = FunctionScorer(lambda r, h, t: table[r, h, t], kg.n_entities)
+        _assert_blocks_match_reference(scorer, kg, rows)
+
     @settings(max_examples=60, deadline=None)
     @given(graphs())
     def test_membership_scorer_rows_are_the_set_indicator(self, graph):

@@ -4,10 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from kgbench import rules
+from kgbench import ranking, rules
+from kgbench.classify import LabeledEntities, RuleBasedClassifier
 from kgbench.errors import DataError
 from kgbench.kg import SPLITS, KnowledgeGraph, ingest_triples
 from kgbench.ranking import evaluate
@@ -27,7 +28,7 @@ from kgbench.rules import (
     theory_analytics,
 )
 from conftest import random_kg
-from oracles import oracle_mine_rules, oracle_rule_scores
+from oracles import oracle_mine_rules, oracle_rule_scores, reference_rule_predict
 
 
 def _rule(head, body):
@@ -246,6 +247,59 @@ class TestMiningOracle:
                 assert scorer.score_tails(rel, anchor).tolist() == tails
                 assert scorer.score_heads(rel, anchor).tolist() == heads
                 assert [scorer.score(rel, anchor, e) for e in range(kg.n_entities)] == tails
+
+    @pytest.mark.parametrize("entries", [1, rules._JOIN_ENTRIES])
+    @settings(max_examples=60, deadline=None)
+    @given(split_graphs(), st.integers(min_value=1, max_value=3), st.booleans(), st.booleans(), st.data())
+    def test_score_block_matches_oracle(self, entries, kg, depth, recursion, known_train, data):
+        """A block's rows, walked in groups of at most `entries` starting rules
+        (or one query's theory), are the per-query oracle rows: blocks repeat
+        a query and ask relations with no theory, one past the graph's too."""
+        assume(kg.n_entities > 0)
+        targets = data.draw(st.sets(st.integers(0, kg.n_relations - 1)))
+        theories = {t: mine_rules(kg, t, depth, allow_recursion=recursion) for t in sorted(targets)}
+        scorer = RuleScorer(theories, kg, score_known_train=known_train)
+        query = st.tuples(st.integers(0, kg.n_relations), st.integers(0, kg.n_entities - 1))
+        block = data.draw(st.lists(query, min_size=1, max_size=8))
+        block += block[:1]
+        relations, anchors = np.array(block).T
+        for side in ("tail", "head"):
+            with mock.patch.object(rules, "_JOIN_ENTRIES", entries):
+                rows = scorer.score_block(relations, anchors, side)
+            assert rows.tolist() == [oracle_rule_scores(kg, theories, r, a, side, known_train) for r, a in block]
+
+
+@st.composite
+def labelled_graphs(draw):
+    """A split graph whose entities all carry a class, and the rows the classifier fits on."""
+    kg = draw(split_graphs())
+    assume(kg.n_entities > 0)
+    n_classes = draw(st.integers(min_value=1, max_value=4))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=kg.n_entities, max_size=kg.n_entities))
+    labeled = LabeledEntities(list(range(kg.n_entities)), np.array(labels, dtype=np.int64),
+                              [f"c{i}" for i in range(n_classes)])
+    fit_rows = draw(st.lists(st.integers(0, kg.n_entities - 1), min_size=1, unique=True))
+    return kg, labeled, np.array(sorted(fit_rows), dtype=np.int64)
+
+
+class TestRulePredict:
+    """RuleBasedClassifier.predict reads the class columns of score_block rows."""
+
+    # c and e take the label of their r0 neighbour; c2 labels only the held-out f, so its
+    # class entity is missing, and f fires no rule
+    @example(
+        graph=(ingest_triples(["a\tr0\tb", "c\tr0\td", "e\tr0\tb", "f\tr1\tf"], "train"),
+               LabeledEntities(list(range(6)), np.array([0, 0, 1, 1, 0, 2]), ["c0", "c1", "c2"]), np.array([0, 1, 3])),
+        depth=2, block_rows=2,
+    )
+    @settings(max_examples=60, deadline=None)
+    @given(labelled_graphs(), st.integers(min_value=1, max_value=3), st.sampled_from([1, 2, ranking._BLOCK_ROWS]))
+    def test_predict_matches_reference(self, graph, depth, block_rows):
+        kg, labeled, fit_rows = graph
+        clf = RuleBasedClassifier(max_body_len=depth).fit(kg, labeled, fit_rows)
+        entities = list(range(kg.n_entities)) + [0]
+        with mock.patch.object(ranking, "_BLOCK_ROWS", block_rows):
+            assert clf.predict(entities).tolist() == reference_rule_predict(clf, entities).tolist()
 
 
 class TestRuleScorer:
